@@ -94,7 +94,10 @@
 // simulator only counts: wall-clock convergence time, per-message delivery
 // latency quantiles (p50/p99/max), and optional transport-level fault
 // injection (seed-deterministic per-message drop and latency jitter) below
-// the protocol's own fault model. Use the simulator for statistics, RunLive
+// the protocol's own fault model. That layer costs 4–5× the simulator's
+// wall-clock over the channel transport (experiment table E15: 4.2× at
+// n=1024, 4.9× at n=4096, medians of 10 runs on a 2-core host) and about
+// 2.5× more over a socket (E16). Use the simulator for statistics, RunLive
 // for measurements; see ExampleScenario_runtime.
 //
 // The transport itself is a ladder, climbed one rung at a time without

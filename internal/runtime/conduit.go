@@ -22,13 +22,14 @@ import (
 // failed pull. Delivery to a node that has shut down also reports false.
 //
 // Concurrency contract: implementations must be safe for concurrent Deliver
-// calls. The round-barrier coordinator happens to deliver serially today,
-// but conduits outlive that accident — the socket transport acks deliveries
-// from listener goroutines, and a concurrent scheduler would overlap
-// Delivers freely — so a conduit may never assume callers serialize it.
-// (For seed-derived randomness this means guarding the stream; the draw
-// order, and with it bit-for-bit reproducibility, is then still determined
-// by whatever order the scheduler calls Deliver in — serial today.)
+// calls. The coordinator calls Deliver from one goroutine, and only on the
+// serial path (a conduit without the batch seam, a lossy pull phase), but it
+// is not the only caller: the socket transport lands deliveries from
+// listener goroutines, and tests and external schedulers overlap Delivers
+// freely — so a conduit may never assume callers serialize it. (For
+// seed-derived randomness this means guarding the stream; the draw order,
+// and with it bit-for-bit reproducibility, is then still the order Deliver
+// is called in — the coordinator's serial order, for a run.)
 //
 // A Conduit that holds transport resources may additionally implement
 // io.Closer; Runtime.Shutdown closes it after every node goroutine has
@@ -43,7 +44,7 @@ type Conduit interface {
 // delivery of one phase, then settle all results at the round barrier —
 // instead of paying one synchronous transport round trip per message. A
 // conduit that does not implement it (the fault-injecting layer, external
-// test conduits) is driven through Deliver exactly as before.
+// test conduits) is driven through Deliver, one awaited message at a time.
 //
 // The protocol's correctness barrier is the round, not the message, so the
 // only ordering a batch must preserve is per destination: messages Added for
@@ -84,9 +85,9 @@ func (ChannelConduit) Deliver(dst *Node, m Message) bool { return dst.Send(m) }
 
 // NewBatch implements BatchConduit. A channel batch has nothing to
 // coalesce — each Add is the same direct mailbox handoff Deliver makes — so
-// batching buys exactly the pipelining: the coordinator no longer waits for
-// a completion event between handoffs, and node handlers overlap with the
-// rest of the wave's dispatch.
+// batching buys exactly the pipelining: the coordinator does not wait for
+// the node between handoffs, and node handlers overlap with the rest of the
+// wave's dispatch.
 func (ChannelConduit) NewBatch() Batch { return &channelBatch{} }
 
 // channelBatch records direct-handoff results in Add order.

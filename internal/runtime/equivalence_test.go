@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	stdruntime "runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -103,9 +104,10 @@ func socketConduit(t *testing.T, network string) runtime.Conduit {
 // simulator produce byte-identical trace transcripts and identical results
 // for the same seed — at every simulator worker count, since the simulator
 // itself is worker-independent, and through every loss-free transport. The
-// round-barrier coordinator delivers serially and waits for each message's
-// completion event, so a real TCP or Unix-domain loopback socket is just a
-// slower ChannelConduit: same deliveries, same order, same bytes.
+// coordinator fixes every observable at a barrier, in the simulator's order,
+// and a batch keeps per-destination order, so a real TCP or Unix-domain
+// loopback socket is just a slower ChannelConduit: same deliveries, same
+// order, same bytes.
 func TestRuntimeTranscriptEquivalence(t *testing.T) {
 	const seed = 42
 	for _, name := range equivalenceBuiltins {
@@ -141,6 +143,72 @@ func TestRuntimeTranscriptEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBarrierStress drives the atomic round barrier through the schedules
+// that could lose a wake-up or read a result slot early: one, two, and eight
+// Ps; capacity-1 mailboxes (the coordinator's Send parks mid-wave) and the
+// default; batched waves (ChannelConduit) and the serial path's target-of-one
+// waits (a FaultConduit that drops nothing). Every cell must reproduce the
+// simulator's transcript and result byte for byte over 20 seeds — a lost
+// wake-up hangs, an early read diverges, and under -race either is reported
+// at its source. CI also runs it by name with -cpu 1,2,8.
+func TestBarrierStress(t *testing.T) {
+	const n, seeds = 64, 20
+	p, err := core.NewParams(n, 2, 3.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	config := func(seed uint64, sink trace.Sink) core.RunConfig {
+		return core.RunConfig{Params: p, Colors: core.UniformColors(n, 2), Seed: seed, Trace: sink}
+	}
+	type run struct {
+		res core.RunResult
+		tr  []byte
+	}
+	want := make([]run, seeds)
+	for seed := range want {
+		mem := &trace.Memory{}
+		res, err := core.Run(config(uint64(seed), mem))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Agents = nil
+		want[seed] = run{res, transcriptBytes(mem.Events())}
+	}
+	conduits := []struct {
+		name string
+		new  func(seed uint64) runtime.Conduit
+	}{
+		{"channel", func(uint64) runtime.Conduit { return runtime.ChannelConduit{} }},
+		{"serial", func(seed uint64) runtime.Conduit { return runtime.NewFaultConduit(nil, seed, 0, 0) }},
+	}
+	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		for _, mailbox := range []int{1, 4} {
+			for _, conduit := range conduits {
+				t.Run(fmt.Sprintf("procs=%d/mailbox=%d/%s", procs, mailbox, conduit.name), func(t *testing.T) {
+					stdruntime.GOMAXPROCS(procs)
+					for seed := range want {
+						mem := &trace.Memory{}
+						res, _, err := runtime.Execute(context.Background(), config(uint64(seed), mem),
+							runtime.Options{Conduit: conduit.new(uint64(seed)), Mailbox: mailbox})
+						if err != nil {
+							t.Fatalf("seed %d: %v", seed, err)
+						}
+						res.Agents = nil
+						if tr := transcriptBytes(mem.Events()); !bytes.Equal(tr, want[seed].tr) {
+							t.Fatalf("seed %d: transcript differs from the simulator's (%d vs %d bytes)\nfirst sim lines:\n%s\nfirst runtime lines:\n%s",
+								seed, len(tr), len(want[seed].tr), head(want[seed].tr), head(tr))
+						}
+						if !reflect.DeepEqual(res, want[seed].res) {
+							t.Fatalf("seed %d: results differ\nsim:     %+v\nruntime: %+v", seed, want[seed].res, res)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -37,8 +37,24 @@
 // simulator interleaves a pull's conditional reply-loss draw with the next
 // pull's query draw, so a lossy pull phase keeps the serial per-message path
 // to preserve the stream's exact order. Conduits without the batch seam
-// (FaultConduit, external test transports) are always driven serially,
-// exactly as before.
+// (FaultConduit, external test transports) are always driven serially: one
+// Deliver, one wait, per message.
+//
+// # Round barrier
+//
+// Every coordinator wait — a round's Act fan-out, a delivery wave, one
+// serially delivered message — is one barrier, and reaching it takes no
+// channel that two nodes share. A node leaves what a handler produced in
+// slots only it writes (its entry of the action table, a FIFO of HandlePull
+// results, a scratch of delivery latencies) and bumps one atomic count of
+// handled messages; the coordinator publishes the count it is owed and parks
+// on a one-slot wake channel that only the increment reaching that count
+// signals (see barrier for why no wake-up is lost). Ownership: a node writes
+// its slots, and its agent, only while handling a message; the coordinator
+// reads or resets them only between a barrier that counted every message it
+// sent that node and its next send there. Shutdown is a flag on the same
+// barrier: a wait that sees it fails without reading any slot — nodes may
+// still be running — and Run returns ErrShutdown.
 //
 // On top of that parity the runtime measures what the simulator cannot:
 // wall-clock convergence and per-message delivery latency, reported as a
@@ -47,6 +63,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -60,11 +77,16 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultMailbox is the per-node inbox capacity when Config.Mailbox is 0.
-// Under the round-barrier scheduler a mailbox never holds more than one
-// in-flight message, but a small buffer keeps the fan-out phase from
-// serializing on slow-to-wake nodes.
+// DefaultMailbox is the per-node inbox capacity when Config.Mailbox is 0. A
+// pipelined wave can address several messages to one node before it wakes;
+// the buffer absorbs the usual few, and past it Send's backpressure makes
+// the dispatcher wait for that node.
 const DefaultMailbox = 4
+
+// slotCap pre-sizes a node's reply FIFO and latency scratch above the
+// deliveries one node normally sees in a round, so steady rounds allocate
+// nothing.
+const slotCap = 8
 
 // Config configures a Runtime. It mirrors gossip.Config — same topology,
 // fault, accounting, and loss semantics — plus the transport knobs.
@@ -109,11 +131,10 @@ type Runtime struct {
 	dropRand *rng.Source
 	conduit  Conduit
 
-	nodes  []*Node
-	events chan event
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	halt   sync.Once
+	nodes []*Node
+	bar   *barrier
+	wg    sync.WaitGroup
+	halt  sync.Once
 
 	round   int
 	dropped int
@@ -123,14 +144,13 @@ type Runtime struct {
 	pulls   []int32
 
 	// Pipelined-delivery scratch, reused every round. batch is non-nil iff
-	// the conduit implements BatchConduit; evq/evhead are the per-destination
-	// FIFO queues that match wave completions back to their dispatches.
+	// the conduit implements BatchConduit; rhead[id] is how far the
+	// coordinator has read into node id's reply FIFO.
 	batch  Batch
 	pfates []pushFate
 	precs  []pullRec
 	oks    []bool
-	evq    [][]gossip.Payload
-	evhead []int
+	rhead  []int
 
 	lat       stats.QuantileSketch
 	delivered int64
@@ -214,26 +234,26 @@ func New(cfg Config, agents []gossip.Agent) *Runtime {
 		dropRand: cfg.DropRand,
 		conduit:  conduit,
 		nodes:    make([]*Node, n),
-		events:   make(chan event, n),
-		stop:     make(chan struct{}),
+		bar:      newBarrier(),
 		actions:  make([]gossip.Action, n),
+		rhead:    make([]int, n),
 	}
 	rt.dyn, _ = cfg.Topology.(topo.Dynamic)
 	if bc, ok := conduit.(BatchConduit); ok {
 		rt.batch = bc.NewBatch()
-		rt.evq = make([][]gossip.Payload, n)
-		rt.evhead = make([]int, n)
 	}
 	for i, a := range agents {
 		if a == nil {
 			continue
 		}
 		rt.nodes[i] = &Node{
-			id:     i,
-			agent:  a,
-			inbox:  make(chan Message, mailbox),
-			events: rt.events,
-			stop:   rt.stop,
+			id:      i,
+			agent:   a,
+			inbox:   make(chan Message, mailbox),
+			bar:     rt.bar,
+			action:  &rt.actions[i],
+			replies: make([]gossip.Payload, 0, slotCap),
+			lats:    make([]time.Duration, 0, slotCap),
 		}
 		rt.wg.Add(1)
 		go rt.nodes[i].run(&rt.wg)
@@ -255,20 +275,38 @@ func (rt *Runtime) DroppedActions() int { return rt.dropped }
 // Shutdown stops every node goroutine and waits for them to exit, then
 // closes the conduit if it holds transport resources (implements io.Closer)
 // — the socket conduit's listener and connections die with the runtime. It
-// is idempotent and must be called exactly when no Run is in flight; after
-// it returns, the agents' final state is safe to read from any goroutine.
+// is idempotent and safe to call from any goroutine — a Run in flight
+// returns ErrShutdown; once both have returned, the agents' final state is
+// safe to read.
 func (rt *Runtime) Shutdown() {
-	rt.halt.Do(func() { close(rt.stop) })
+	rt.halt.Do(func() {
+		rt.bar.halt()
+		for _, n := range rt.nodes {
+			if n != nil {
+				// Poison wakes an idle node to see the flag; behind a full
+				// mailbox the node is about to receive anyway.
+				select {
+				case n.inbox <- Message{}:
+				default:
+				}
+			}
+		}
+	})
 	rt.wg.Wait()
 	if c, ok := rt.conduit.(io.Closer); ok {
 		c.Close() //nolint:errcheck // best-effort teardown; Close is idempotent
 	}
 }
 
+// ErrShutdown is Run's error when Shutdown stopped the runtime under it.
+var ErrShutdown = errors.New("runtime: shut down during Run")
+
 // Run executes rounds until every active Decider agent has decided, maxRounds
 // have been executed, or ctx is cancelled (checked at round boundaries). It
-// returns the number of rounds run and ctx's error if cancellation cut the
-// run short. The caller still owns Shutdown.
+// returns the number of complete rounds run, with ctx's error if cancellation
+// cut the run short, or ErrShutdown if a concurrent Shutdown did (mid-round:
+// Live and the trace then include part of a round that was never counted).
+// The caller still owns Shutdown.
 func (rt *Runtime) Run(ctx context.Context, maxRounds int) (int, error) {
 	start := rt.round
 	done := ctx.Done()
@@ -281,7 +319,9 @@ func (rt *Runtime) Run(ctx context.Context, maxRounds int) (int, error) {
 		if rt.allDecided() {
 			break
 		}
-		rt.step()
+		if !rt.step() {
+			return rt.round - start, ErrShutdown
+		}
 	}
 	return rt.round - start, nil
 }
@@ -321,8 +361,8 @@ func (rt *Runtime) emit(ev trace.Event) {
 
 // allDecided mirrors gossip.Engine: currently-silent nodes do not block
 // termination. Reading agent state here is race-free — every agent mutation
-// happens on its node goroutine before the completion event the coordinator
-// has already received.
+// happens on its node goroutine before the completion the coordinator's
+// last barrier counted.
 func (rt *Runtime) allDecided() bool {
 	for i, a := range rt.agents {
 		if rt.silent(rt.round, i) || a == nil {
@@ -338,8 +378,9 @@ func (rt *Runtime) allDecided() bool {
 
 // step executes one synchronous round with exactly the engine's structure:
 // dynamics advance, parallel Act, validation in node order, pushes then
-// pulls in ascending node-ID order, round accounting.
-func (rt *Runtime) step() {
+// pulls in ascending node-ID order, round accounting. It reports false, the
+// round uncounted, when Shutdown cut it short.
+func (rt *Runtime) step() bool {
 	round := rt.round
 	if rt.dyn != nil && round > 0 {
 		rt.dyn.Advance(round)
@@ -354,12 +395,12 @@ func (rt *Runtime) step() {
 			rt.actions[i] = gossip.NoAction()
 			continue
 		}
-		rt.nodes[i].Send(Message{Kind: MsgRound, Round: round})
-		pending++
+		if rt.nodes[i].Send(Message{Kind: MsgRound, Round: round}) {
+			pending++
+		}
 	}
-	for ; pending > 0; pending-- {
-		ev := <-rt.events
-		rt.actions[ev.id] = ev.action
+	if !rt.bar.await(pending) {
+		return false
 	}
 
 	rt.pushes = rt.pushes[:0]
@@ -395,11 +436,24 @@ func (rt *Runtime) step() {
 			rt.resolvePull(round, int(u), rt.actions[u])
 		}
 	}
+	if rt.bar.stopped.Load() {
+		return false
+	}
 
+	// Every message of the round has been counted: read the latencies out.
+	for _, n := range rt.nodes {
+		if n != nil {
+			for _, d := range n.lats {
+				rt.lat.Add(int64(d))
+			}
+			n.lats = n.lats[:0]
+		}
+	}
 	rt.tally.AddRound()
 	rt.counters.AddDelta(0, rt.tally)
 	rt.tally = metrics.Delta{}
 	rt.round++
+	return true
 }
 
 // validate enforces the topology on one action, tracing drops like the
@@ -416,32 +470,28 @@ func (rt *Runtime) validate(round, u int, a *gossip.Action) {
 }
 
 // roundTrip sends a scheduler-internal message directly into a node's
-// mailbox — bypassing the conduit — and waits for its completion event.
+// mailbox — bypassing the conduit — and waits for the node to handle it.
 // Self-operations and nil-reply notifications travel this way: they are not
 // link crossings, so the transport gets no chance to delay or drop them.
-func (rt *Runtime) roundTrip(to int, m Message) event {
-	if !rt.nodes[to].Send(m) {
-		return event{id: to}
+func (rt *Runtime) roundTrip(to int, m Message) {
+	if rt.nodes[to].Send(m) {
+		rt.bar.await(1)
 	}
-	return <-rt.events
 }
 
-// transport carries one payload message through the conduit and waits for
-// the receiving node's completion event, folding the observed delivery
-// latency into the run's sketch. It reports false when the conduit dropped
-// the message (the caller then applies the simulator's loss semantics).
-func (rt *Runtime) transport(to int, m Message) (event, bool) {
+// transport carries one timed payload message through the conduit and waits
+// for the receiving node to handle it. It reports false when the conduit
+// dropped the message (the caller then applies the simulator's loss
+// semantics) — and under a Shutdown, when every later Send fails too, so a
+// serial phase falls through without reading node state.
+func (rt *Runtime) transport(to int, m Message) bool {
 	m.SentAt = time.Now()
-	if !rt.conduit.Deliver(rt.nodes[to], m) {
-		return event{}, false
+	if !rt.conduit.Deliver(rt.nodes[to], m) || !rt.bar.await(1) {
+		return false
 	}
-	ev := <-rt.events
-	if ev.timed {
-		rt.lat.Add(int64(ev.latency))
-		rt.delivered++
-		rt.kinds[m.Kind]++
-	}
-	return ev, true
+	rt.delivered++
+	rt.kinds[m.Kind]++
+	return true
 }
 
 // deliverPush delivers one push with the executor's exact semantics: a
@@ -465,7 +515,7 @@ func (rt *Runtime) deliverPush(round, u int, a gossip.Action) {
 		rt.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To})
 		return
 	}
-	if _, ok := rt.transport(a.To, m); !ok {
+	if !rt.transport(a.To, m) {
 		rt.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To, Note: "lost"})
 		return
 	}
@@ -490,21 +540,21 @@ func (rt *Runtime) resolvePull(round, u int, a gossip.Action) {
 		rt.failPull(round, u, a.To, "no-reply")
 		return
 	}
-	ev, ok := rt.transport(a.To, Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload})
-	if !ok {
+	if !rt.transport(a.To, Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload}) {
 		rt.failPull(round, u, a.To, "query-lost")
 		return
 	}
-	if ev.reply == nil {
+	reply := rt.popReply(a.To)
+	if reply == nil {
 		rt.failPull(round, u, a.To, "refused")
 		return
 	}
-	rt.tally.AddMessage(gossip.PayloadBits(ev.reply))
+	rt.tally.AddMessage(gossip.PayloadBits(reply))
 	if rt.lost() {
 		rt.failPull(round, u, a.To, "reply-lost")
 		return
 	}
-	if _, ok := rt.transport(u, Message{Kind: MsgReply, Round: round, From: a.To, Payload: ev.reply}); !ok {
+	if !rt.transport(u, Message{Kind: MsgReply, Round: round, From: a.To, Payload: reply}) {
 		rt.failPull(round, u, a.To, "reply-lost")
 		return
 	}
@@ -520,40 +570,31 @@ func (rt *Runtime) failPull(round, u, to int, note string) {
 	rt.roundTrip(u, Message{Kind: MsgReply, Round: round, From: to})
 }
 
-// collectEvents drains n completion events, folding timed delivery latencies
-// into the run's sketch. Used at a wave barrier, after Flush has reported how
-// many deliveries reached a mailbox.
-func (rt *Runtime) collectEvents(n int) {
-	for ; n > 0; n-- {
-		ev := <-rt.events
-		if ev.timed {
-			rt.lat.Add(int64(ev.latency))
-		}
-	}
-}
-
-// collectReplies is collectEvents for the query wave: each event additionally
-// carries the target's HandlePull result, queued per target in processing
-// order. Because a node's events arrive in its mailbox order, and the batch
-// preserves per-destination Add order, popping evq[target] during the
-// puller-ordered resolution pass matches each reply to its query.
-func (rt *Runtime) collectReplies(n int) {
-	for ; n > 0; n-- {
-		ev := <-rt.events
-		if ev.timed {
-			rt.lat.Add(int64(ev.latency))
-		}
-		rt.evq[ev.id] = append(rt.evq[ev.id], ev.reply)
-	}
-}
-
-// popReply consumes the next queued HandlePull result from node id. An
-// out-of-range panic here means a delivered query produced no event — a
-// broken conduit or node, worth failing loudly over.
+// popReply consumes node id's next HandlePull result, rewinding the FIFO once
+// it is read out. A node appends in mailbox order and a batch preserves
+// per-destination Add order, so popping a target in puller order matches
+// each reply to its query. An out-of-range panic here means a delivered query
+// was never handled — a broken conduit or node, worth failing loudly over.
 func (rt *Runtime) popReply(id int) gossip.Payload {
-	h := rt.evhead[id]
-	rt.evhead[id]++
-	return rt.evq[id][h]
+	n := rt.nodes[id]
+	reply := n.replies[rt.rhead[id]]
+	if rt.rhead[id]++; rt.rhead[id] == len(n.replies) {
+		n.replies, rt.rhead[id] = n.replies[:0], 0
+	}
+	return reply
+}
+
+// flushWave forces the staged wave out, keeps its results in rt.oks, and
+// waits until every delivery that reached a mailbox, and the direct sends
+// made beside the wave, have been handled — or reports false on Shutdown.
+func (rt *Runtime) flushWave(direct int) bool {
+	rt.oks = append(rt.oks[:0], rt.batch.Flush()...)
+	for _, ok := range rt.oks {
+		if ok {
+			direct++
+		}
+	}
+	return rt.bar.await(direct)
 }
 
 // deliverPushesBatched delivers the round's push set as one pipelined wave:
@@ -585,14 +626,9 @@ func (rt *Runtime) deliverPushesBatched(round int) {
 			rt.pfates = append(rt.pfates, pushSent)
 		}
 	}
-	rt.oks = append(rt.oks[:0], rt.batch.Flush()...)
-	succ := 0
-	for _, ok := range rt.oks {
-		if ok {
-			succ++
-		}
+	if !rt.flushWave(0) {
+		return
 	}
-	rt.collectEvents(succ)
 
 	// Barrier settlement, in sender order — the simulator's order.
 	j := 0
@@ -656,14 +692,9 @@ func (rt *Runtime) resolvePullsBatched(round int) {
 			rt.precs = append(rt.precs, pullRec{fate: pushSent})
 		}
 	}
-	rt.oks = append(rt.oks[:0], rt.batch.Flush()...)
-	succ := 0
-	for _, ok := range rt.oks {
-		if ok {
-			succ++
-		}
+	if !rt.flushWave(0) {
+		return
 	}
-	rt.collectReplies(succ)
 
 	// Resolution pass, in puller order: match each delivered query to its
 	// target's queued HandlePull result and dispatch the reply wave.
@@ -678,91 +709,61 @@ func (rt *Runtime) resolvePullsBatched(round int) {
 		rec.w2 = -1
 		switch rec.fate {
 		case pushSelf:
-			if rt.oks[j] {
-				rt.popReply(u) // nil placeholder from the short-circuit event
-			}
 			j++
-		case pushSilent:
-			if rt.nodes[u].Send(Message{Kind: MsgReply, Round: round, From: a.To}) {
-				notifies++
-			}
+			continue
 		case pushSent:
-			ok := rt.oks[j]
 			j++
-			if !ok {
+			if !rt.oks[j-1] {
 				rec.note = "query-lost"
-				if rt.nodes[u].Send(Message{Kind: MsgReply, Round: round, From: a.To}) {
-					notifies++
-				}
-				continue
+				break
 			}
 			reply := rt.popReply(a.To)
 			rt.delivered++
 			rt.kinds[MsgQuery]++
 			if reply == nil {
 				rec.note = "refused"
-				if rt.nodes[u].Send(Message{Kind: MsgReply, Round: round, From: a.To}) {
-					notifies++
-				}
-				continue
+				break
 			}
 			rec.isReply = true
 			rec.replyBits = int32(gossip.PayloadBits(reply))
 			rec.w2 = w2
 			w2++
 			rt.batch.Add(rt.nodes[u], Message{Kind: MsgReply, Round: round, From: a.To, Payload: reply, SentAt: now})
+			continue
+		}
+		// A failed pull — quiescent target, lost query, refusal.
+		if rt.nodes[u].Send(Message{Kind: MsgReply, Round: round, From: a.To}) {
+			notifies++
 		}
 	}
-	rt.oks = append(rt.oks[:0], rt.batch.Flush()...)
-	succ = notifies
-	for _, ok := range rt.oks {
-		if ok {
-			succ++
-		}
+	if !rt.flushWave(notifies) {
+		return
 	}
-	rt.collectEvents(succ)
 
 	// Barrier settlement, in puller order — the simulator's order.
 	for i := range rt.precs {
 		u := int(rt.pulls[i])
 		a := rt.actions[u]
 		rec := &rt.precs[i]
-		switch rec.fate {
-		case pushSelf:
-			// Local and free, exactly the serial path: no cost, no trace.
-		case pushSilent:
-			rt.tally.AddMessage(gossip.PayloadBits(a.Payload))
+		if rec.fate == pushSelf {
+			continue // local and free, exactly the serial path: no cost, no trace
+		}
+		rt.tally.AddMessage(gossip.PayloadBits(a.Payload))
+		if !rec.isReply {
 			rt.tally.AddPull(false)
 			rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To, Note: rec.note})
-		case pushSent:
-			rt.tally.AddMessage(gossip.PayloadBits(a.Payload))
-			if !rec.isReply {
-				rt.tally.AddPull(false)
-				rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To, Note: rec.note})
-				continue
-			}
-			rt.tally.AddMessage(int(rec.replyBits))
-			if !rt.oks[rec.w2] {
-				// The transport lost the reply after the target served it:
-				// account the failure and re-notify the puller serially.
-				rt.failPull(round, u, a.To, "reply-lost")
-				continue
-			}
-			rt.delivered++
-			rt.kinds[MsgReply]++
-			rt.tally.AddPull(true)
-			rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To})
+			continue
 		}
-	}
-
-	// Reset the per-target reply queues touched this round.
-	for i := range rt.precs {
-		u := int(rt.pulls[i])
-		dest := u
-		if rt.precs[i].fate == pushSent {
-			dest = rt.actions[u].To
+		rt.tally.AddMessage(int(rec.replyBits))
+		if !rt.oks[rec.w2] {
+			// The transport lost the reply after the target served it:
+			// account the failure and re-notify the puller serially.
+			rt.failPull(round, u, a.To, "reply-lost")
+			continue
 		}
-		rt.evq[dest] = rt.evq[dest][:0]
-		rt.evhead[dest] = 0
+		rt.delivered++
+		rt.kinds[MsgReply]++
+		rt.tally.AddPull(true)
+		rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To})
 	}
 }

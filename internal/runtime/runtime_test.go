@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gossip"
 )
 
 func goroutines() int { return stdruntime.NumGoroutine() }
@@ -64,11 +65,11 @@ func runtimeFor(setup *core.RunSetup, opts Options) *Runtime {
 // mailbox of a node that is not draining, then blocks — and unblocks, with
 // a false return, when the runtime shuts down.
 func TestMailboxBackpressure(t *testing.T) {
-	stop := make(chan struct{})
+	bar := newBarrier()
 	n := &Node{
 		id:    0,
 		inbox: make(chan Message, 2),
-		stop:  stop,
+		bar:   bar,
 	}
 	// The node goroutine is deliberately not started: nothing drains.
 	for i := 0; i < 2; i++ {
@@ -84,7 +85,7 @@ func TestMailboxBackpressure(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 		// Blocked, as required: the mailbox is the backpressure boundary.
 	}
-	close(stop)
+	bar.halt()
 	select {
 	case ok := <-blocked:
 		if ok {
@@ -241,11 +242,9 @@ func TestFaultConduitJitter(t *testing.T) {
 // before the stream gained its mutex this was a data race.
 func TestFaultConduitConcurrentDeliver(t *testing.T) {
 	const workers, each = 8, 200
-	stop := make(chan struct{})
-	defer close(stop)
 	// A bare node with a mailbox sized for every message: nothing drains, and
 	// no Send ever blocks, so the test isolates the conduit's own state.
-	n := &Node{id: 0, inbox: make(chan Message, workers*each), stop: stop}
+	n := &Node{id: 0, inbox: make(chan Message, workers*each), bar: newBarrier()}
 	c := NewFaultConduit(nil, 1, 0.3, 50*time.Microsecond)
 	var wg sync.WaitGroup
 	var delivered atomic.Int64
@@ -289,4 +288,157 @@ func TestBackpressureDrain(t *testing.T) {
 	if res.Outcome.Failed {
 		t.Fatal("run through capacity-1 mailboxes failed to agree")
 	}
+}
+
+// gatedAgent blocks the chosen handler, from the given round on, until
+// release is closed, announcing on entered that a node goroutine is now stuck
+// inside it — the way tests hold nodes mid-message while something else
+// happens.
+type gatedAgent struct {
+	gossip.Agent
+	round   int
+	onPush  bool // gate HandlePush instead of Act
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (g *gatedAgent) gate(round int) {
+	if round >= g.round {
+		select {
+		case g.entered <- struct{}{}:
+		default:
+		}
+		<-g.release
+	}
+}
+
+func (g *gatedAgent) Act(round int) gossip.Action {
+	if !g.onPush {
+		g.gate(round)
+	}
+	return g.Agent.Act(round)
+}
+
+func (g *gatedAgent) HandlePush(round, from int, p gossip.Payload) {
+	if g.onPush {
+		g.gate(round)
+	}
+	g.Agent.HandlePush(round, from, p)
+}
+
+// waitStopped spins until Shutdown has raised the barrier's flag.
+func waitStopped(t *testing.T, rt *Runtime) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !rt.bar.stopped.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("Shutdown never raised the stopped flag")
+		}
+		stdruntime.Gosched()
+	}
+}
+
+// TestShutdownDuringRun pins that a Shutdown from a second goroutine while
+// the coordinator is inside a round — parked on the Act barrier, or in a
+// push wave whose targets sit behind capacity-1 mailboxes — makes Run return
+// ErrShutdown promptly instead of waiting forever for completions that will
+// never come, and leaves no goroutine behind.
+func TestShutdownDuringRun(t *testing.T) {
+	for _, onPush := range []bool{false, true} {
+		name := "act-barrier"
+		if onPush {
+			name = "push-wave"
+		}
+		t.Run(name, func(t *testing.T) {
+			before := goroutines()
+			setup := testConfig(t, 64, 17)
+			entered := make(chan struct{}, 1)
+			release := make(chan struct{})
+			agents := append([]gossip.Agent(nil), setup.Agents...)
+			for i, a := range agents {
+				// Every node gates, so whichever handler runs first from
+				// round 2 on holds its round open.
+				agents[i] = &gatedAgent{Agent: a, round: 2, onPush: onPush, entered: entered, release: release}
+			}
+			rt := New(Config{Topology: setup.Net, Counters: setup.Counters, Mailbox: 1}, agents)
+
+			type result struct {
+				rounds int
+				err    error
+			}
+			ran := make(chan result, 1)
+			go func() {
+				rounds, err := rt.Run(context.Background(), setup.MaxRounds)
+				ran <- result{rounds, err}
+			}()
+			<-entered // a node is stuck mid-round: Run cannot finish the round
+			shut := make(chan struct{})
+			go func() {
+				rt.Shutdown()
+				close(shut)
+			}()
+			waitStopped(t, rt)
+			select {
+			case r := <-ran:
+				if r.err != ErrShutdown || r.rounds < 2 || r.rounds >= setup.MaxRounds {
+					t.Fatalf("Run = (%d, %v), want ErrShutdown after 2 or more complete rounds", r.rounds, r.err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Run still blocked after Shutdown")
+			}
+			close(release) // let the stuck handlers return; their nodes then exit
+			select {
+			case <-shut:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Shutdown did not return once the handlers did")
+			}
+			waitForGoroutines(t, before)
+		})
+	}
+}
+
+// TestShutdownFullMailboxes pins the other half of the poison contract:
+// when every mailbox is full at Shutdown the poison message cannot be
+// enqueued anywhere, and every node must still exit — on the flag it checks
+// after its next receive.
+func TestShutdownFullMailboxes(t *testing.T) {
+	const n, mailbox = 32, 2
+	before := goroutines()
+	setup := testConfig(t, n, 19)
+	entered := make(chan struct{}, n)
+	release := make(chan struct{})
+	agents := make([]gossip.Agent, n)
+	for i, a := range setup.Agents {
+		agents[i] = &gatedAgent{Agent: a, round: 0, entered: entered, release: release}
+	}
+	rt := New(Config{Topology: setup.Net, Mailbox: mailbox}, agents)
+	for i := 0; i < n; i++ {
+		rt.Node(i).Send(Message{Kind: MsgRound})
+	}
+	for i := 0; i < n; i++ {
+		<-entered // node i's goroutine is inside Act; nothing drains its mailbox
+	}
+	for i := 0; i < n; i++ {
+		for k := 0; k < mailbox; k++ {
+			if !rt.Node(i).Send(Message{Kind: MsgReply, From: i}) {
+				t.Fatalf("node %d refused message %d of %d", i, k, mailbox)
+			}
+		}
+		if got := len(rt.Node(i).inbox); got != mailbox {
+			t.Fatalf("node %d mailbox holds %d, want it full at %d", i, got, mailbox)
+		}
+	}
+	shut := make(chan struct{})
+	go func() {
+		rt.Shutdown()
+		close(shut)
+	}()
+	waitStopped(t, rt)
+	close(release)
+	select {
+	case <-shut:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown hung with every mailbox full")
+	}
+	waitForGoroutines(t, before)
 }

@@ -6,7 +6,15 @@ import (
 	"time"
 
 	"repro/fairgossip"
+	"repro/internal/stats"
 )
+
+// ms is a wall-clock time in the tables' unit. Wall time on a shared host is
+// skewed by the occasional slow run, so E15 and E16 report a cell's median
+// over its trials, with the range they spanned (minMax) next to it.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+
+func minMax(s stats.Summary) string { return F(s.Min) + "–" + F(s.Max) }
 
 // RuntimeOptions configures E15, the simulator-vs-runtime comparison: the
 // same scenarios executed by the round-loop simulator and by the
@@ -25,7 +33,7 @@ type RuntimeOptions struct {
 
 // DefaultRuntimeOptions is the full experiment.
 func DefaultRuntimeOptions() RuntimeOptions {
-	return RuntimeOptions{Sizes: []int{128, 1024, 4096}, Trials: 3, Seed: 15}
+	return RuntimeOptions{Sizes: []int{128, 1024, 4096}, Trials: 10, Seed: 15}
 }
 
 // QuickRuntimeOptions is a scaled-down variant for tests.
@@ -46,12 +54,13 @@ func RunE15Runtime(o RuntimeOptions) []*Table {
 	e15 := &Table{
 		ID:    "E15",
 		Title: "Simulator vs message-passing runtime: rounds, wall-clock convergence, and per-message latency",
-		Columns: []string{"n", "rounds", "sim ms", "runtime ms", "delivered",
-			"lat p50 µs", "lat p99 µs", "trials"},
+		Columns: []string{"n", "rounds", "sim ms", "sim min–max", "runtime ms", "runtime min–max",
+			"runtime/sim", "delivered", "lat p50 µs", "lat p99 µs", "trials"},
 	}
 	cell := 0
 	for _, n := range o.Sizes {
-		var simMS, rtMS, rounds, delivered, p50, p99 float64
+		var simMS, rtMS []float64
+		var rounds, delivered, p50, p99 float64
 		for trial := 0; trial < o.Trials; trial++ {
 			sc := fairgossip.Scenario{
 				N: n, Colors: 2,
@@ -66,7 +75,7 @@ func RunE15Runtime(o RuntimeOptions) []*Table {
 			if err != nil {
 				panic(err)
 			}
-			simMS += float64(time.Since(start).Microseconds()) / 1e3
+			simMS = append(simMS, ms(time.Since(start)))
 
 			rep, err := r.RunLive(context.Background(), fairgossip.LiveOptions{})
 			if err != nil {
@@ -76,18 +85,20 @@ func RunE15Runtime(o RuntimeOptions) []*Table {
 				panic(fmt.Sprintf("E15: engines diverged at n=%d seed=%d:\nsim     %+v\nruntime %+v",
 					n, sc.Seed, simRes, rep.Result))
 			}
-			rtMS += float64(rep.WallClock.Microseconds()) / 1e3
+			rtMS = append(rtMS, ms(rep.WallClock))
 			rounds += float64(rep.Result.Rounds)
 			delivered += float64(rep.Delivered)
 			p50 += float64(rep.LatencyP50.Nanoseconds()) / 1e3
 			p99 += float64(rep.LatencyP99.Nanoseconds()) / 1e3
 		}
 		t := float64(o.Trials)
-		e15.AddRow(I(n), F(rounds/t), F(simMS/t), F(rtMS/t), F(delivered/t),
-			F(p50/t), F(p99/t), I(o.Trials))
+		sim, rt := stats.Summarize(simMS), stats.Summarize(rtMS)
+		e15.AddRow(I(n), F(rounds/t), F(sim.Median), minMax(sim), F(rt.Median), minMax(rt),
+			F(rt.Median/sim.Median)+"×", F(delivered/t), F(p50/t), F(p99/t), I(o.Trials))
 	}
 	e15.AddNote("both engines execute the identical protocol off identical seeds (transcript-equivalent; the rounds column is checked to match run by run); sim ms is the round-loop simulator's wall time, runtime ms is the goroutine-per-node runtime's — one goroutine and bounded mailbox per agent, every message a real channel delivery")
 	e15.AddNote("lat p50/p99 are streaming quantiles over every delivered payload message (push/vote/query/reply), measured send-to-handler through the in-process channel conduit; the gap between them and the runtime/sim wall-clock ratio is the price of physically moving each message the simulator only counts")
+	e15.AddNote("wall times are medians over the trials with the min–max range beside them (each trial is a different seed, so the range holds seed-to-seed variation as well as host noise); runtime/sim is the ratio of the two medians. On the 2-vCPU reference host it reads 4.7× / 4.2× / 4.9× at n = 128 / 1024 / 4096; before the coordinator stopped taking two process-wide channel locks per node wake-up (an events channel and a stop channel every node selected on) it read 7.6× / 8.5× / 12.1× and widened with n")
 	return []*Table{e15}
 }
 
@@ -106,7 +117,7 @@ type TransportOptions struct {
 
 // DefaultTransportOptions is the full experiment.
 func DefaultTransportOptions() TransportOptions {
-	return TransportOptions{Sizes: []int{128, 1024}, Trials: 3, Seed: 16}
+	return TransportOptions{Sizes: []int{128, 1024}, Trials: 10, Seed: 16}
 }
 
 // QuickTransportOptions is a scaled-down variant for tests.
@@ -125,13 +136,15 @@ func RunE16Transports(o TransportOptions) []*Table {
 	e16 := &Table{
 		ID:    "E16",
 		Title: "Transport ladder: channel vs Unix-domain vs TCP loopback — wall-clock and per-message latency",
-		Columns: []string{"n", "transport", "rounds", "wall ms", "delivered",
-			"lat p50 µs", "lat p99 µs", "trials"},
+		Columns: []string{"n", "transport", "rounds", "wall ms", "wall min–max", "vs channel",
+			"delivered", "lat p50 µs", "lat p99 µs", "trials"},
 	}
 	for _, n := range o.Sizes {
 		baselines := make([]fairgossip.Result, o.Trials)
+		channelMS := 0.0
 		for _, transport := range []string{"channel", "unix", "tcp"} {
-			var wallMS, rounds, delivered, p50, p99 float64
+			var wallMS []float64
+			var rounds, delivered, p50, p99 float64
 			for trial := 0; trial < o.Trials; trial++ {
 				sc := fairgossip.Scenario{
 					N: n, Colors: 2,
@@ -148,19 +161,23 @@ func RunE16Transports(o TransportOptions) []*Table {
 					panic(fmt.Sprintf("E16: %s diverged from channel at n=%d seed=%d:\nchannel %+v\n%s %+v",
 						transport, n, sc.Seed, baselines[trial], transport, rep.Result))
 				}
-				wallMS += float64(rep.WallClock.Microseconds()) / 1e3
+				wallMS = append(wallMS, ms(rep.WallClock))
 				rounds += float64(rep.Result.Rounds)
 				delivered += float64(rep.Delivered)
 				p50 += float64(rep.LatencyP50.Nanoseconds()) / 1e3
 				p99 += float64(rep.LatencyP99.Nanoseconds()) / 1e3
 			}
+			wall := stats.Summarize(wallMS)
+			if transport == "channel" {
+				channelMS = wall.Median
+			}
 			t := float64(o.Trials)
-			e16.AddRow(I(n), transport, F(rounds/t), F(wallMS/t), F(delivered/t),
-				F(p50/t), F(p99/t), I(o.Trials))
+			e16.AddRow(I(n), transport, F(rounds/t), F(wall.Median), minMax(wall),
+				F(wall.Median/channelMS)+"×", F(delivered/t), F(p50/t), F(p99/t), I(o.Trials))
 		}
 	}
 	e16.AddNote("all three transports execute the identical protocol off identical seeds and are checked to produce the identical Result — the transport moves the bytes, never the outcome — so wall ms and the latency quantiles isolate transport cost alone")
 	e16.AddNote("unix and tcp deliveries cross a real OS socket as length-prefixed binary frames, dispatched in pipelined round waves: all same-peer messages of a flush coalesce into one multi-message v2 frame answered by one bitmap ack, so a round costs a handful of writes instead of a synchronous write→ack round trip per message")
-	e16.AddNote("pipelining closed most of the socket gap: at n=1024 the pre-batching ladder read channel 558 ms, unix 2699 ms (4.8×), tcp 3893 ms (7.0×); batched it reads unix ≈1.9× and tcp ≈2.3× of the channel wall — the lat columns now price wave turnaround (send stamped at wave dispatch, handled when the coalesced frame lands), not a lone message's hop")
+	e16.AddNote("pipelining closed most of the socket gap: at n=1024 the pre-batching ladder read channel 558 ms, unix 2699 ms (4.8×), tcp 3893 ms (7.0×); batched it reads unix ≈2.5× and tcp ≈2.4× of the channel wall (vs channel, medians of 10) — ratios that rose from ≈1.3× when the lock-free round barrier made the channel rung itself 2.7× faster (345 → 126 ms) while the sockets' own walls fell less (unix 458 → 312 ms, tcp 463 → 299 ms): with the coordinator cheap, the socket is the visible cost again. The lat columns price wave turnaround (send stamped at wave dispatch, handled when the coalesced frame lands), not a lone message's hop")
 	return []*Table{e16}
 }
