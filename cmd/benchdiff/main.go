@@ -14,7 +14,10 @@
 // parallel workers>1 rows allocate GOMAXPROCS-dependent per-chunk state. Use
 // -update -filter '<regexp>' to add names deliberately (or to bootstrap a
 // baseline from nothing). A refresh preserves any per-benchmark threshold
-// overrides the baseline carries.
+// overrides the baseline carries, and it may be partial: a pinned benchmark
+// the input does not contain keeps its row as it is, and the recorded cpu —
+// which says where *every* row was measured — changes only when every row was
+// refreshed.
 //
 // Multiple -count runs of one benchmark are reduced to their median, which
 // is robust against the odd noisy run. Two classes of regression are gated
@@ -166,7 +169,6 @@ func main() {
 // bootstraps it. Per-benchmark threshold overrides carry over from the
 // previous baseline.
 func updateBaseline(path, cpu string, med map[string]Benchmark, filter string) error {
-	keep := med
 	var prev Baseline
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &prev); err != nil {
@@ -185,33 +187,13 @@ func updateBaseline(path, cpu string, med map[string]Benchmark, filter string) e
 			return fmt.Errorf("bad -filter: %w", err)
 		}
 	}
-	if prev.Benchmarks != nil {
-		keep = make(map[string]Benchmark)
-		for name, b := range med {
-			old, inPrev := prev.Benchmarks[name]
-			if inPrev || (include != nil && include.MatchString(name)) {
-				b.NsThreshold = old.NsThreshold
-				b.AllocThreshold = old.AllocThreshold
-				keep[name] = b
-			}
-		}
-		for name := range prev.Benchmarks {
-			if _, ok := keep[name]; !ok {
-				fmt.Printf("benchdiff: warning: %s in baseline but not in results; dropping it\n", name)
-			}
-		}
-	} else if include != nil {
-		keep = make(map[string]Benchmark)
-		for name, b := range med {
-			if include.MatchString(name) {
-				keep[name] = b
-			}
-		}
+	b, kept := refresh(prev, cpu, med, include)
+	for _, name := range kept {
+		fmt.Printf("benchdiff: %s in baseline but not in results; keeping its row\n", name)
 	}
-	if len(keep) == 0 {
+	if len(b.Benchmarks) == 0 {
 		return fmt.Errorf("refusing to write an empty baseline (no benchmark matched)")
 	}
-	b := Baseline{CPU: cpu, Benchmarks: keep}
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return err
@@ -219,8 +201,37 @@ func updateBaseline(path, cpu string, med map[string]Benchmark, filter string) e
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("benchdiff: wrote %s (%d benchmarks, cpu %q)\n", path, len(keep), cpu)
+	fmt.Printf("benchdiff: wrote %s (%d benchmarks, cpu %q)\n", path, len(b.Benchmarks), b.CPU)
 	return nil
+}
+
+// refresh computes the baseline a refresh writes: prev's benchmark set with
+// every measured row's numbers replaced (threshold overrides kept), plus the
+// measured names include opts in. A pinned row the input lacks is carried over
+// untouched and listed in kept; the baseline then still holds rows measured on
+// prev's CPU, so prev's cpu string stays. With no previous baseline, include
+// (nil: everything) selects what bootstraps it.
+func refresh(prev Baseline, cpu string, med map[string]Benchmark, include *regexp.Regexp) (next Baseline, kept []string) {
+	next = Baseline{CPU: cpu, Benchmarks: make(map[string]Benchmark)}
+	for name, b := range med {
+		old, inPrev := prev.Benchmarks[name]
+		if inPrev || (include != nil && include.MatchString(name)) || (prev.Benchmarks == nil && include == nil) {
+			b.NsThreshold = old.NsThreshold
+			b.AllocThreshold = old.AllocThreshold
+			next.Benchmarks[name] = b
+		}
+	}
+	for name, old := range prev.Benchmarks {
+		if _, ok := med[name]; !ok {
+			next.Benchmarks[name] = old
+			kept = append(kept, name)
+		}
+	}
+	if len(kept) > 0 {
+		next.CPU = prev.CPU
+	}
+	sort.Strings(kept)
+	return next, kept
 }
 
 // gate compares measured medians against the baseline and returns the report

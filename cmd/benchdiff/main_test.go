@@ -127,6 +127,52 @@ func TestGatePerBenchmarkThresholds(t *testing.T) {
 	}
 }
 
+// TestRefreshIsPartial pins what -update writes: measured rows replace their
+// numbers and keep their threshold overrides; a pinned row the input lacks is
+// kept as it is, and then the recorded cpu stays too; unpinned measured rows
+// join only through the filter; cpu moves once every row was refreshed.
+func TestRefreshIsPartial(t *testing.T) {
+	prev := baseline(map[string]Benchmark{
+		"A/workers=1": {NsPerOp: 1000, BytesPerOp: 100, AllocsPerOp: 10, AllocThreshold: f64(0.3)},
+		"B/n=1024":    {NsPerOp: 5000, BytesPerOp: 500, AllocsPerOp: 50, NsThreshold: f64(0.5)},
+	})
+	med := map[string]Benchmark{
+		"B/n=1024":    {NsPerOp: 4000, BytesPerOp: 400, AllocsPerOp: 40},
+		"B/n=128":     {NsPerOp: 400, BytesPerOp: 40, AllocsPerOp: 4},
+		"C/workers=4": {NsPerOp: 7, BytesPerOp: 7, AllocsPerOp: 7},
+	}
+	next, kept := refresh(prev, "new-cpu", med, regexp.MustCompile(`^C/`))
+	if len(kept) != 1 || kept[0] != "A/workers=1" {
+		t.Fatalf("kept = %v, want the one row missing from the input", kept)
+	}
+	if next.CPU != "test-cpu" {
+		t.Fatalf("cpu = %q after a partial refresh, want the baseline's", next.CPU)
+	}
+	if a := next.Benchmarks["A/workers=1"]; a.NsPerOp != 1000 || a.AllocsPerOp != 10 || a.AllocThreshold == nil || *a.AllocThreshold != 0.3 {
+		t.Fatalf("row missing from the input changed: %+v", a)
+	}
+	if b := next.Benchmarks["B/n=1024"]; b.NsPerOp != 4000 || b.AllocsPerOp != 40 || b.NsThreshold == nil || *b.NsThreshold != 0.5 {
+		t.Fatalf("refreshed row = %+v, want the measured numbers under the kept override", b)
+	}
+	if _, ok := next.Benchmarks["B/n=128"]; ok {
+		t.Fatal("an unpinned, unfiltered row joined the baseline")
+	}
+	if _, ok := next.Benchmarks["C/workers=4"]; !ok || len(next.Benchmarks) != 3 {
+		t.Fatalf("benchmark set = %v, want A, B/n=1024 and the filtered-in C", next.Benchmarks)
+	}
+
+	med["A/workers=1"] = Benchmark{NsPerOp: 900, BytesPerOp: 90, AllocsPerOp: 9}
+	next, kept = refresh(prev, "new-cpu", med, nil)
+	if len(kept) != 0 || next.CPU != "new-cpu" || len(next.Benchmarks) != 2 {
+		t.Fatalf("full refresh: kept %v cpu %q set %v, want none, the new cpu, the pinned two", kept, next.CPU, next.Benchmarks)
+	}
+
+	next, _ = refresh(Baseline{}, "new-cpu", med, nil)
+	if len(next.Benchmarks) != len(med) || next.CPU != "new-cpu" {
+		t.Fatalf("bootstrap wrote %v on %q, want every measured row", next.Benchmarks, next.CPU)
+	}
+}
+
 func TestParseBenchReadsGoTestOutput(t *testing.T) {
 	out := `goos: linux
 cpu: Intel(R) Xeon(R) Processor @ 2.70GHz

@@ -40,7 +40,8 @@
 // sequential (one random agent per tick) AsyncEngine. Fault models are
 // pluggable FaultSchedules — permanent quiescence, crash-at-round-r,
 // periodic churn — and the orthogonal Drop rate loses any message crossing
-// a link with fixed probability from a seed-derived stream. Topologies may
+// a link with fixed probability, decided per crossing by a seed-keyed hash of
+// (round, sender, receiver, leg) rather than drawn from a stream. Topologies may
 // themselves be dynamic: a topo.Dynamic graph process (edge-Markovian
 // chains, the per-round rewiring ring, a per-round re-matched random
 // d-regular graph, a geometric torus under positional jitter) is started
@@ -69,8 +70,10 @@
 // fault-injecting wrapper adding seed-derived per-message drop and latency
 // jitter below the protocol's own fault model. A round-barrier coordinator
 // drives the nodes in lockstep through the same core.PrepareRun state the
-// simulator uses and draws the shared loss stream in the simulator's
-// delivery order, so the runtime is transcript-equivalent to the simulator:
+// simulator uses and decides loss with the simulator's keyed per-crossing
+// decision under the same key — every phase of a round goes out as one
+// pipelined delivery wave, on every transport — so the runtime is
+// transcript-equivalent to the simulator:
 // byte-identical trace transcripts and identical results for the same seed
 // (pinned across every builtin scenario, including dynamic graphs and all
 // three protocol variants). What it adds is what simulation cannot measure —

@@ -64,6 +64,16 @@
 // document written before either existed keeps both its meaning and its
 // exact byte representation (the golden fixtures pin this).
 //
+// What the promise covers is the document and the law of its outcomes, not
+// the outcome of one seed: a release may re-map which random choices a given
+// seed makes, once, when the engine's sampling changes — the dynamic-graph
+// engine did for edge sets, and the loss model did when it stopped drawing
+// from a stream: whether a message is lost is now a seed-keyed hash of the
+// crossing (round, sender, receiver, leg), identical on the simulator and on
+// every live transport. For a scenario with "drop" > 0 a given seed therefore
+// loses different messages than before that change; loss-free scenarios are
+// untouched byte for byte, and every run stays deterministic for its seed.
+//
 // # Execution
 //
 // NewRunner validates a scenario and prepares everything its runs share.
@@ -107,10 +117,11 @@
 // injection; "unix" and "tcp" carry every delivery across a real OS socket
 // as length-prefixed binary frames. Because the protocol's correctness
 // barrier is the round, not the message, the scheduler dispatches each
-// round's deliveries as pipelined waves and the socket rungs coalesce all
-// same-peer messages of a wave into one multi-message frame answered by a
-// single bitmap ack — a handful of syscalls per round instead of a
-// synchronous write→ack round trip per message, with per-destination
+// round's deliveries as pipelined waves — lossy rounds and fault-injected
+// rungs included; there is no per-message path — and the socket rungs
+// coalesce all same-peer messages of a wave into one multi-message frame
+// answered by a single bitmap ack — a handful of syscalls per round instead
+// of a synchronous write→ack round trip per message, with per-destination
 // delivery order preserved and all results settled at the round barrier.
 // Every rung is transcript-equivalent (the E16 experiment table checks it
 // while pricing each rung's wall-clock and latency cost); only the

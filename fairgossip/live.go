@@ -24,9 +24,10 @@ type LiveOptions struct {
 	// error wrapping ErrInvalidScenario.
 	Transport string
 	// TransportDrop adds a per-message transport-level loss probability in
-	// [0, 1) on top of the scenario's FaultModel.Drop. The transport draws
-	// from its own seed-derived stream, so lossy live runs repeat
-	// bit-for-bit.
+	// [0, 1) on top of the scenario's FaultModel.Drop. Whether the transport
+	// drops a message is a function of the seed (salted apart from the
+	// scenario's own loss) and of the message — its round, endpoints and
+	// kind — so lossy live runs repeat bit-for-bit.
 	TransportDrop float64
 	// Jitter delays each delivered message by a uniform [0, Jitter) amount,
 	// spreading the latency distribution; 0 keeps the in-process transport's

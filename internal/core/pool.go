@@ -27,8 +27,9 @@ type RunPool struct {
 	parts    []Participant
 	excluded []bool
 	counters metrics.Counters
-	droprng  rng.Source // message-loss stream, reseeded per lossy run
+	droprng  rng.Source // keys the message-loss decisions, reseeded per lossy run
 	mem      gossip.EngineMem
+	setup    RunSetup // the run in progress; PrepareRun returns a pointer to it
 }
 
 // ensure sizes the pool's per-node slices for n nodes, reusing capacity.

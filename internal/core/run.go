@@ -31,7 +31,7 @@ type RunConfig struct {
 	Seed uint64
 	// Drop is the probabilistic message-loss rate: every message crossing a
 	// link is lost independently with this probability (gossip.Config.Drop).
-	// The loss stream is derived from Seed, so lossy runs stay reproducible.
+	// The loss decisions are keyed from Seed, so lossy runs stay reproducible.
 	// Must be in [0, 1); 0 disables loss.
 	Drop float64
 	// Topology defaults to the complete graph on N nodes when nil. A
@@ -62,8 +62,8 @@ type RunResult struct {
 	Agents []*Agent
 }
 
-// dropStreamSalt separates the message-loss stream from every other use of
-// the run seed.
+// dropStreamSalt separates the message-loss key from every other use of the
+// run seed.
 const dropStreamSalt = 0xd10bab1e
 
 // dynamicsStreamSalt separates a dynamic topology's edge-process stream from
@@ -87,8 +87,8 @@ func startDynamics(net topo.Topology, seed uint64) {
 // in-process engine (Run) and the goroutine-per-node message-passing runtime
 // (internal/runtime) both execute off one PrepareRun, which is what makes
 // their executions comparable seed for seed: the agents, their RNG streams,
-// and the loss stream are bit-identical regardless of which scheduler
-// delivers the messages.
+// and the loss key are bit-identical regardless of which scheduler delivers
+// the messages.
 type RunSetup struct {
 	// Params are the protocol parameters of the run.
 	Params Params
@@ -118,8 +118,9 @@ type RunSetup struct {
 
 // PrepareRun validates cfg and builds the per-run state every scheduler
 // shares: it starts a dynamic topology from the seed, seeds and resets the
-// pooled agents, and derives the loss stream. The caller executes the rounds
-// (through gossip.NewEngine or a runtime scheduler) and then calls Result.
+// pooled agents, and derives the loss key. The caller executes the rounds
+// (through gossip.NewEngine or a runtime scheduler) and then calls Result. The
+// returned setup lives in cfg.Pool and is valid until the pool's next run.
 func PrepareRun(cfg RunConfig) (*RunSetup, error) {
 	p := cfg.Params
 	if len(cfg.Colors) != p.N {
@@ -166,13 +167,15 @@ func PrepareRun(cfg RunConfig) (*RunSetup, error) {
 	pl.counters.Reset()
 	var dropRand *rng.Source
 	if cfg.Drop > 0 {
-		// A private stream derived from the run seed keeps lossy executions
-		// reproducible without perturbing the agents' randomness; the pool
-		// slot keeps the hot batch path allocation-free.
+		// A private source derived from the run seed keys the loss decisions,
+		// so lossy executions are reproducible without perturbing the agents'
+		// randomness; the pool slot keeps the hot batch path allocation-free.
 		pl.droprng.Reseed(rng.Mix64(cfg.Seed, dropStreamSalt))
 		dropRand = &pl.droprng
 	}
-	return &RunSetup{
+	// The setup lives in the pool for the same reason: one heap object per
+	// trial is what a warmed batch would otherwise still allocate here.
+	pl.setup = RunSetup{
 		Params:    p,
 		Net:       net,
 		Agents:    pl.gagents,
@@ -185,7 +188,8 @@ func PrepareRun(cfg RunConfig) (*RunSetup, error) {
 		MaxRounds: p.TotalRounds() + 1,
 		cfg:       cfg,
 		pl:        pl,
-	}, nil
+	}
+	return &pl.setup, nil
 }
 
 // Mem exposes the pooled engine scratch space so the in-process engine can

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/rng"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -31,8 +30,7 @@ type executor struct {
 	tally    metrics.Delta
 	sink     trace.Sink
 	dropped  int
-	drop     float64     // per-message loss probability; 0 disables
-	dropRand *rng.Source // loss randomness; non-nil iff drop > 0
+	loss     Loss // per-crossing loss decision; the zero value loses nothing
 
 	noFaults StaticFaults // scratch all-false mask, reused across runs
 	union    UnionFaults  // scratch for combining static + dynamic faults
@@ -69,12 +67,7 @@ func (x *executor) init(cfg Config, agents []Agent) {
 		x.union = append(x.union[:0], faults, cfg.Faults)
 		faults = x.union
 	}
-	if cfg.Drop < 0 || cfg.Drop >= 1 {
-		panic(fmt.Sprintf("gossip: drop probability %v outside [0, 1)", cfg.Drop))
-	}
-	if cfg.Drop > 0 && cfg.DropRand == nil {
-		panic("gossip: Drop > 0 requires a DropRand source")
-	}
+	x.loss = NewLoss(cfg.Drop, cfg.DropRand)
 	x.topo = cfg.Topology
 	x.dyn, _ = cfg.Topology.(topo.Dynamic)
 	x.agents = agents
@@ -84,16 +77,6 @@ func (x *executor) init(cfg Config, agents []Agent) {
 	x.tally = metrics.Delta{}
 	x.sink = cfg.Trace
 	x.dropped = 0
-	x.drop = cfg.Drop
-	x.dropRand = cfg.DropRand
-}
-
-// lost draws one link crossing against the probabilistic message-loss model.
-// It must be called exactly once per non-self message so that, for a fixed
-// DropRand stream, executions remain deterministic. Loss is drawn on the
-// single delivery goroutine only.
-func (x *executor) lost() bool {
-	return x.drop > 0 && x.dropRand.Bool(x.drop)
 }
 
 // resizeBools returns a false-filled slice of length n, reusing capacity.
@@ -156,7 +139,7 @@ func (x *executor) deliverPush(round, u int, a Action) {
 	}
 	x.tally.AddPush()
 	x.tally.AddMessage(PayloadBits(a.Payload))
-	if x.lost() {
+	if x.loss.Lost(round, u, a.To, LegPush) {
 		x.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To, Note: "lost"})
 		return // lost on the link; cost already incurred
 	}
@@ -178,7 +161,7 @@ func (x *executor) resolvePull(round, u int, a Action) {
 		return
 	}
 	x.tally.AddMessage(PayloadBits(a.Payload))
-	if x.lost() {
+	if x.loss.Lost(round, u, a.To, LegQuery) {
 		x.tally.AddPull(false)
 		x.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To, Note: "query-lost"})
 		x.agents[u].HandlePullReply(round, a.To, nil)
@@ -198,7 +181,7 @@ func (x *executor) resolvePull(round, u int, a Action) {
 		return
 	}
 	x.tally.AddMessage(PayloadBits(reply))
-	if x.lost() {
+	if x.loss.Lost(round, a.To, u, LegReply) {
 		x.tally.AddPull(false)
 		x.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To, Note: "reply-lost"})
 		x.agents[u].HandlePullReply(round, a.To, nil)

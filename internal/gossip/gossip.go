@@ -116,9 +116,11 @@ type Config struct {
 	// was lost, and a puller whose query or reply is lost observes the same
 	// silence a quiescent target would produce. Must be in [0, 1).
 	Drop float64
-	// DropRand supplies the loss randomness; required when Drop > 0. Loss is
-	// drawn once per non-self message on the single delivery goroutine, so
-	// executions stay deterministic for a given source.
+	// DropRand keys the loss decisions; required when Drop > 0. It is read,
+	// never advanced: whether a message is lost is a function of the source's
+	// seed lineage and the crossing's (round, sender, receiver, leg) — see
+	// Loss — so executions stay deterministic for a given source whatever
+	// order deliveries are decided in.
 	DropRand *rng.Source
 	// Mem optionally supplies reusable engine memory, so a trial loop can run
 	// many engines without reallocating per-round buffers. See EngineMem.

@@ -3,9 +3,10 @@ package runtime
 import (
 	"fmt"
 	"io"
-	"sync"
+	"math/bits"
 	"time"
 
+	"repro/internal/gossip"
 	"repro/internal/rng"
 )
 
@@ -22,14 +23,13 @@ import (
 // failed pull. Delivery to a node that has shut down also reports false.
 //
 // Concurrency contract: implementations must be safe for concurrent Deliver
-// calls. The coordinator calls Deliver from one goroutine, and only on the
-// serial path (a conduit without the batch seam, a lossy pull phase), but it
-// is not the only caller: the socket transport lands deliveries from
+// calls. The coordinator drives a conduit from one goroutine, through a Batch,
+// but it is not the only caller: the socket transport lands deliveries from
 // listener goroutines, and tests and external schedulers overlap Delivers
-// freely — so a conduit may never assume callers serialize it. (For
-// seed-derived randomness this means guarding the stream; the draw order,
-// and with it bit-for-bit reproducibility, is then still the order Deliver
-// is called in — the coordinator's serial order, for a run.)
+// freely — so a conduit may never assume callers serialize it. Seed-derived
+// randomness therefore has to be a keyed decision about the message
+// (gossip.Loss), never a draw from a shared stream: the answer must not
+// depend on which caller asked first.
 //
 // A Conduit that holds transport resources may additionally implement
 // io.Closer; Runtime.Shutdown closes it after every node goroutine has
@@ -39,12 +39,12 @@ type Conduit interface {
 }
 
 // BatchConduit is the round-batched seam of the transport: a conduit that
-// can additionally accept a whole delivery wave without blocking per
-// message. The coordinator uses it to pipeline a round — dispatch every
-// delivery of one phase, then settle all results at the round barrier —
-// instead of paying one synchronous transport round trip per message. A
-// conduit that does not implement it (the fault-injecting layer, external
-// test conduits) is driven through Deliver, one awaited message at a time.
+// can accept a whole delivery wave without blocking per message. The
+// coordinator pipelines every round through a Batch — dispatch every delivery
+// of one phase, then settle all results at the round barrier — so a conduit
+// that can coalesce a wave (the socket transport's multi-message frames)
+// implements it; one that cannot is driven through the same seam by an
+// adapter whose Add is Deliver (see newBatch).
 //
 // The protocol's correctness barrier is the round, not the message, so the
 // only ordering a batch must preserve is per destination: messages Added for
@@ -83,59 +83,68 @@ type ChannelConduit struct{}
 // Deliver hands the message straight to the destination node.
 func (ChannelConduit) Deliver(dst *Node, m Message) bool { return dst.Send(m) }
 
-// NewBatch implements BatchConduit. A channel batch has nothing to
-// coalesce — each Add is the same direct mailbox handoff Deliver makes — so
-// batching buys exactly the pipelining: the coordinator does not wait for
-// the node between handoffs, and node handlers overlap with the rest of the
-// wave's dispatch.
-func (ChannelConduit) NewBatch() Batch { return &channelBatch{} }
+// NewBatch implements BatchConduit: a direct handoff has nothing to
+// coalesce, so the channel batch is the Deliver adapter.
+func (c ChannelConduit) NewBatch() Batch { return &deliverBatch{c: c} }
 
-// channelBatch records direct-handoff results in Add order.
-type channelBatch struct {
+// deliverBatch adapts a plain Conduit to the batch seam: each Add is one
+// Deliver, its result recorded in Add order. Nothing is coalesced, so what
+// the seam buys such a conduit is exactly the pipelining — the coordinator
+// does not wait for the node between deliveries, and node handlers overlap
+// with the rest of the wave's dispatch.
+type deliverBatch struct {
+	c       Conduit
 	results []bool
 }
 
-func (b *channelBatch) Add(dst *Node, m Message) {
-	b.results = append(b.results, dst.Send(m))
+func (b *deliverBatch) Add(dst *Node, m Message) {
+	b.results = append(b.results, b.c.Deliver(dst, m))
 }
 
-func (b *channelBatch) Flush() []bool {
+func (b *deliverBatch) Flush() []bool {
 	r := b.results
 	b.results = b.results[:0]
 	return r
 }
 
-// conduitStreamSalt separates a FaultConduit's transport randomness from
-// every other use of a run seed — in particular from the scheduler-level
-// loss stream (core's dropStreamSalt), which must stay aligned with the
-// simulator's draw order.
+// newBatch returns the batch the coordinator drives c through: the conduit's
+// own when it has the seam, the Deliver adapter otherwise.
+func newBatch(c Conduit) Batch {
+	if bc, ok := c.(BatchConduit); ok {
+		return bc.NewBatch()
+	}
+	return &deliverBatch{c: c}
+}
+
+// conduitStreamSalt separates a FaultConduit's transport decisions from every
+// other use of a run seed — in particular from the scenario-level loss
+// decisions (core's dropStreamSalt), which the simulator shares.
 const conduitStreamSalt = 0xfa117c0d
+
+// legJitter offsets a message kind into the leg its jitter is read under, so
+// one message's delay is independent of its drop decision.
+const legJitter = gossip.Leg(msgKinds)
 
 // FaultConduit layers seed-derived per-message drop and latency jitter on
 // top of an inner transport. Drops reuse the simulator's FaultModel.Drop
 // observation model (the sender has paid, the receiver sees silence); jitter
 // delays each delivery by a uniform [0, Jitter) sleep, turning the latency
-// distribution from a point mass into something worth measuring. Both draws
-// come from one private stream, so a faulty transport is exactly as
-// reproducible as a clean one.
-//
-// The stream is guarded by a mutex: concurrent Delivers (see the Conduit
-// concurrency contract) draw race-free, in whatever order they arrive. Under
-// a serial caller — the round-barrier coordinator — the draw order is the
-// call order and runs stay bit-for-bit reproducible.
+// distribution from a point mass into something worth measuring. Both are
+// keyed decisions (gossip.Loss under the conduit's own salt) about the
+// message's (round, sender, receiver, kind), so the conduit holds no state a
+// delivery could change: a faulty transport is exactly as reproducible as a
+// clean one, from any number of concurrent callers, through Deliver or
+// through a batch.
 type FaultConduit struct {
 	inner  Conduit
-	drop   float64
+	fate   gossip.Loss
 	jitter time.Duration
-
-	mu sync.Mutex // guards r: one unguarded stream would race under concurrent Deliver
-	r  rng.Source
 }
 
 // NewFaultConduit builds a fault-injecting transport over inner (nil means
 // ChannelConduit). drop is the per-message transport loss probability in
 // [0, 1); jitter is the maximum per-message delivery delay (0 disables).
-// The stream is derived from seed, so runs repeat bit-for-bit.
+// Every decision is keyed from seed, so runs repeat bit-for-bit.
 func NewFaultConduit(inner Conduit, seed uint64, drop float64, jitter time.Duration) *FaultConduit {
 	if drop < 0 || drop >= 1 {
 		panic(fmt.Sprintf("runtime: conduit drop probability %v outside [0, 1)", drop))
@@ -146,30 +155,78 @@ func NewFaultConduit(inner Conduit, seed uint64, drop float64, jitter time.Durat
 	if inner == nil {
 		inner = ChannelConduit{}
 	}
-	c := &FaultConduit{inner: inner, drop: drop, jitter: jitter}
-	c.r.Reseed(rng.Mix64(seed, conduitStreamSalt))
-	return c
+	return &FaultConduit{
+		inner:  inner,
+		fate:   gossip.KeyedLoss(drop, rng.Mix64(seed, conduitStreamSalt)),
+		jitter: jitter,
+	}
 }
 
-// Deliver draws the message's fate — drop, then delay — and forwards the
-// survivors to the inner transport. Both draws happen under the stream lock;
-// the jitter sleep itself does not, so concurrent deliveries delay each
-// other only by their own jitter.
-func (c *FaultConduit) Deliver(dst *Node, m Message) bool {
-	c.mu.Lock()
-	dropped := c.drop > 0 && c.r.Bool(c.drop)
-	var delay time.Duration
-	if !dropped && c.jitter > 0 {
-		delay = time.Duration(c.r.Uint64n(uint64(c.jitter)))
+// admit decides one message's fate: false means the transport dropped it;
+// otherwise it has slept the message's jitter. A message a node addresses to
+// itself is local — it rides a wave only for mailbox order — and passes
+// untouched. The sleep is this message's link delay, not time spent queued
+// behind earlier messages' delays, so a timed message is re-stamped as it
+// enters the link.
+func (c *FaultConduit) admit(dst *Node, m *Message) bool {
+	if m.From == dst.id {
+		return true
 	}
-	c.mu.Unlock()
-	if dropped {
+	leg := gossip.Leg(m.Kind)
+	if c.fate.Lost(m.Round, m.From, dst.id, leg) {
 		return false
 	}
-	if delay > 0 {
-		time.Sleep(delay)
+	if c.jitter > 0 {
+		if !m.SentAt.IsZero() {
+			m.SentAt = time.Now()
+		}
+		delay, _ := bits.Mul64(c.fate.Bits(m.Round, m.From, dst.id, leg+legJitter), uint64(c.jitter))
+		time.Sleep(time.Duration(delay))
 	}
-	return c.inner.Deliver(dst, m)
+	return true
+}
+
+// Deliver forwards the message to the inner transport unless admit drops it.
+func (c *FaultConduit) Deliver(dst *Node, m Message) bool {
+	return c.admit(dst, &m) && c.inner.Deliver(dst, m)
+}
+
+// NewBatch implements BatchConduit by decorating the inner transport's batch:
+// a dropped message never reaches it, and Flush folds the inner results back
+// into Add order.
+func (c *FaultConduit) NewBatch() Batch {
+	return &faultBatch{c: c, inner: newBatch(c.inner)}
+}
+
+// faultBatch is one wave through a FaultConduit. fates holds, per Add, whether
+// the message was forwarded; Flush overwrites each forwarded entry with the
+// inner batch's result for it and returns the slice.
+type faultBatch struct {
+	c     *FaultConduit
+	inner Batch
+	fates []bool
+}
+
+func (b *faultBatch) Add(dst *Node, m Message) {
+	ok := b.c.admit(dst, &m)
+	b.fates = append(b.fates, ok)
+	if ok {
+		b.inner.Add(dst, m)
+	}
+}
+
+func (b *faultBatch) Flush() []bool {
+	oks := b.inner.Flush()
+	j := 0
+	for i, forwarded := range b.fates {
+		if forwarded {
+			b.fates[i] = oks[j]
+			j++
+		}
+	}
+	r := b.fates
+	b.fates = b.fates[:0]
+	return r
 }
 
 // Close forwards to the inner transport when it holds resources (a wrapped

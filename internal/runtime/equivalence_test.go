@@ -89,13 +89,14 @@ var equivalenceBuiltins = []string{
 
 // socketConduit builds a loopback socket transport for one runtime run,
 // failing the test if the listener cannot start. The runtime closes it on
-// Shutdown.
+// Shutdown; the cleanup covers a wrapper that hides Close (it is idempotent).
 func socketConduit(t *testing.T, network string) runtime.Conduit {
 	t.Helper()
 	c, err := netconduit.Listen(network)
 	if err != nil {
 		t.Fatalf("netconduit.Listen(%s): %v", network, err)
 	}
+	t.Cleanup(func() { c.Close() })
 	return c
 }
 
@@ -103,11 +104,13 @@ func socketConduit(t *testing.T, network string) runtime.Conduit {
 // runtime layer: under the deterministic scheduler, the runtime and the
 // simulator produce byte-identical trace transcripts and identical results
 // for the same seed — at every simulator worker count, since the simulator
-// itself is worker-independent, and through every loss-free transport. The
-// coordinator fixes every observable at a barrier, in the simulator's order,
-// and a batch keeps per-destination order, so a real TCP or Unix-domain
-// loopback socket is just a slower ChannelConduit: same deliveries, same
-// order, same bytes.
+// itself is worker-independent, and through every loss-free transport. Loss
+// is a keyed decision per crossing, so the lossy builtins lose the same
+// messages on both sides although the runtime decides a whole wave at once.
+// The coordinator fixes every observable at a barrier, in the simulator's
+// order, and a batch keeps per-destination order, so a real TCP or
+// Unix-domain loopback socket is just a slower ChannelConduit: same
+// deliveries, same order, same bytes.
 func TestRuntimeTranscriptEquivalence(t *testing.T) {
 	const seed = 42
 	for _, name := range equivalenceBuiltins {
@@ -146,11 +149,16 @@ func TestRuntimeTranscriptEquivalence(t *testing.T) {
 	}
 }
 
+// deliverOnly hides a conduit's batch seam: what is left is a serial
+// transport, one Deliver per message, which the coordinator drives through
+// its Add = Deliver adapter.
+type deliverOnly struct{ runtime.Conduit }
+
 // TestBarrierStress drives the atomic round barrier through the schedules
 // that could lose a wake-up or read a result slot early: one, two, and eight
 // Ps; capacity-1 mailboxes (the coordinator's Send parks mid-wave) and the
-// default; batched waves (ChannelConduit) and the serial path's target-of-one
-// waits (a FaultConduit that drops nothing). Every cell must reproduce the
+// default; a conduit's own batch (ChannelConduit) and the adapter over a
+// serial, Deliver-only conduit. Every cell must reproduce the
 // simulator's transcript and result byte for byte over 20 seeds — a lost
 // wake-up hangs, an early read diverges, and under -race either is reported
 // at its source. CI also runs it by name with -cpu 1,2,8.
@@ -182,7 +190,7 @@ func TestBarrierStress(t *testing.T) {
 		new  func(seed uint64) runtime.Conduit
 	}{
 		{"channel", func(uint64) runtime.Conduit { return runtime.ChannelConduit{} }},
-		{"serial", func(seed uint64) runtime.Conduit { return runtime.NewFaultConduit(nil, seed, 0, 0) }},
+		{"serial", func(uint64) runtime.Conduit { return deliverOnly{runtime.ChannelConduit{}} }},
 	}
 	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
@@ -209,6 +217,48 @@ func TestBarrierStress(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestFaultConduitPaths pins that a fault-injecting transport's decisions
+// belong to the messages, not to the path that carried them: with transport
+// drop over the channel and over a unix socket, two same-seed runs are
+// byte-identical, and a run that reaches the fault layer one Deliver at a time
+// drops exactly what a run through its batch drops.
+func TestFaultConduitPaths(t *testing.T) {
+	const seed, drop = 5, 0.05
+	for _, network := range []string{"channel", "unix"} {
+		t.Run(network, func(t *testing.T) {
+			fault := func() runtime.Conduit {
+				var inner runtime.Conduit
+				if network != "channel" {
+					inner = socketConduit(t, network)
+				}
+				return runtime.NewFaultConduit(inner, seed, drop, 0)
+			}
+			res, tr := runtimeRun(t, "baseline", seed, runtime.Options{Conduit: fault()})
+			res.Agents = nil
+			if bytes.Count(tr, []byte("lost\n")) == 0 {
+				t.Fatal("the transport dropped nothing — the comparison proves nothing")
+			}
+			for _, again := range []struct {
+				name    string
+				conduit runtime.Conduit
+			}{
+				{"second batched run", fault()},
+				{"Deliver-only run", deliverOnly{fault()}},
+			} {
+				res2, tr2 := runtimeRun(t, "baseline", seed, runtime.Options{Conduit: again.conduit})
+				res2.Agents = nil
+				if !bytes.Equal(tr2, tr) {
+					t.Fatalf("%s: transcript differs (%d vs %d bytes, %d vs %d losses)", again.name,
+						len(tr2), len(tr), bytes.Count(tr2, []byte("lost\n")), bytes.Count(tr, []byte("lost\n")))
+				}
+				if !reflect.DeepEqual(res2, res) {
+					t.Fatalf("%s: results differ\nfirst: %+v\nthen:  %+v", again.name, res, res2)
+				}
+			}
+		})
 	}
 }
 

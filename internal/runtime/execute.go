@@ -19,7 +19,7 @@ type Options struct {
 
 // Execute runs one cooperative execution on the message-passing runtime: the
 // same core.PrepareRun setup core.Run uses — same agents, same RNG streams,
-// same loss stream — but with every agent on its own goroutine and every
+// same loss key — but with every agent on its own goroutine and every
 // message crossing the conduit. With the default conduit the RunResult and
 // trace transcript are byte-identical to core.Run's for the same cfg; on top
 // of them Execute reports the runtime-layer observables (wall-clock

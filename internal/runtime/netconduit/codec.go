@@ -3,20 +3,17 @@
 // loopback interface or a Unix domain socket — instead of an in-process
 // channel handoff. The protocol logic is untouched, and the runtime's
 // transcript stays byte-identical to the simulator's (pinned by the
-// equivalence suite in internal/runtime) on both of the conduit's paths:
-// the serial one, where Deliver writes one message frame and waits for its
-// ack, and the batched one (runtime.BatchConduit), where the coordinator
-// stages a whole delivery wave and the conduit coalesces all same-peer
-// messages of a flush into multi-message v2 frames — one write, one batched
-// ack — with per-peer windows of in-flight frames settled at the barrier.
+// equivalence suite in internal/runtime). The conduit has one delivery path,
+// the batch (runtime.BatchConduit): the coordinator stages a whole delivery
+// wave and the conduit coalesces all same-peer messages of a flush into
+// multi-message frames — one write, one bitmap ack — with per-peer windows of
+// in-flight frames settled at the barrier. Deliver is a batch of one.
 //
 // # Frame format
 //
 // Every frame is a 4-byte big-endian length prefix followed by a body of at
 // most MaxFrame bytes. The body's first byte is the frame type:
 //
-//	message frame: 1 | codec version (1) | seq uvarint | message body
-//	ack frame:     2 | seq uvarint | ok byte
 //	batch frame:   3 | batch version (2) | seq uvarint | count uvarint |
 //	               count × message body
 //	batch ack:     4 | seq uvarint | count uvarint | ⌈count/8⌉ bitmap bytes
@@ -26,26 +23,22 @@
 //	kind byte | flags byte | round uvarint | from uvarint | to uvarint |
 //	[sent-at ticks varint, if flags&1] | payload
 //
-// A message frame carries one runtime.Message to the node with index "to";
-// the listener routes it into that node's mailbox and answers with an ack
-// frame carrying the same sequence number, so Deliver keeps the conduit's
-// synchronous round-trip contract (true only once the destination mailbox
-// accepted the message). A batch frame carries the bodies of one flush's
-// same-peer messages back to back, in delivery order; the listener routes
-// each body in sequence — preserving the per-destination FIFO order the
-// round-barrier coordinator depends on — and answers with a single batch
-// ack whose bitmap holds each body's mailbox result (bit i, LSB-first in
-// byte i/8, is body i's Send result). Message bodies are self-delimiting,
-// so the batch carries no per-body length. A v1-only reader that predates
-// the batch frame rejects type 3 as unknown and drops the connection; the
-// sender's window fails as transport losses and the next flush re-dials —
-// mixed versions fail closed instead of corrupting a round. SentAt crosses
-// the wire as monotonic ticks relative to the conduit's epoch — exact when
-// sender and receiver share the conduit (the single-process loopback case);
-// cross-process latency calibration is the sharded-serve follow-up's
-// problem.
+// A batch frame carries the bodies of one flush's same-peer messages back to
+// back, in delivery order, each a runtime.Message for the node with index
+// "to"; the listener routes each body in sequence — preserving the per-
+// destination FIFO order the round-barrier coordinator depends on — and
+// answers with a single batch ack carrying the frame's sequence number, whose
+// bitmap holds each body's mailbox result (bit i, LSB-first in byte i/8, is
+// body i's Send result: set only once the destination mailbox accepted the
+// message). Message bodies are self-delimiting, so the batch carries no
+// per-body length. Types 1 and 2 were the single-message frame and its ack of
+// an earlier generation; nothing speaks them any more, and like every unknown
+// type they are connection-fatal. SentAt crosses the wire as monotonic ticks
+// relative to the conduit's epoch — exact when sender and receiver share the
+// conduit (the single-process loopback case); cross-process latency
+// calibration is the sharded-serve follow-up's problem.
 //
-// The payload encoding is versioned (codecVersion) and covers exactly the
+// The encoding is versioned (batchVersion) and covers exactly the
 // concrete gossip.Payload types the protocol produces, tagged:
 //
 //	0 nil | 1 core.Intentions | 2 core.Vote | 3 core.IntentQuery |
@@ -72,12 +65,8 @@ import (
 	"repro/internal/runtime"
 )
 
-// codecVersion is the message-frame payload encoding version. A receiver
-// rejects frames speaking any other version instead of guessing.
-const codecVersion = 1
-
-// batchVersion is the batch-frame encoding version — v2 of the wire
-// protocol; single-message v1 frames stay decodable alongside it.
+// batchVersion is the batch-frame encoding version — v2 of the wire protocol.
+// A receiver rejects frames speaking any other version instead of guessing.
 const batchVersion = 2
 
 // MaxFrame bounds one frame body. The largest regular protocol message is a
@@ -85,10 +74,8 @@ const batchVersion = 2
 // headroom; anything larger is garbage and connection-fatal.
 const MaxFrame = 1 << 20
 
-// Frame types.
+// Frame types. 1 and 2 are retired (see the package doc) and stay unassigned.
 const (
-	frameMessage  byte = 1
-	frameAck      byte = 2
 	frameBatch    byte = 3
 	frameBatchAck byte = 4
 )
@@ -103,7 +90,7 @@ const (
 	payCertificate
 )
 
-// flagSentAt marks a message frame that carries a SentAt timestamp.
+// flagSentAt marks a message body that carries a SentAt timestamp.
 const flagSentAt byte = 1
 
 // errCodec is the class every malformed-frame failure belongs to.
@@ -397,9 +384,8 @@ func readPayload(r *reader, cache *paramsCache) (gossip.Payload, error) {
 	}
 }
 
-// appendMessageBody encodes one delivery's self-delimiting message body —
-// everything after the per-frame header, shared between v1 message frames
-// and v2 batch frames.
+// appendMessageBody encodes one delivery's self-delimiting message body, the
+// unit a batch frame repeats after its header.
 func appendMessageBody(b []byte, to int, m runtime.Message, epoch time.Time) ([]byte, error) {
 	b = append(b, byte(m.Kind))
 	var flags byte
@@ -440,51 +426,8 @@ func readMessageBody(r *reader, epoch time.Time, cache *paramsCache) (to int, m 
 	return to, m, nil
 }
 
-// appendMessageFrame encodes one delivery as a full frame (length prefix
-// included) destined for node "to".
-func appendMessageFrame(b []byte, seq uint64, to int, m runtime.Message, epoch time.Time) ([]byte, error) {
-	start := len(b)
-	b = append(b, 0, 0, 0, 0) // length prefix, patched below
-	b = append(b, frameMessage, codecVersion)
-	b = binary.AppendUvarint(b, seq)
-	b, err := appendMessageBody(b, to, m, epoch)
-	if err != nil {
-		return b[:start], err
-	}
-	body := len(b) - start - 4
-	if body > MaxFrame {
-		return b[:start], codecErr("frame body %d exceeds MaxFrame", body)
-	}
-	binary.BigEndian.PutUint32(b[start:], uint32(body))
-	return b, nil
-}
-
-// decodeMessage parses a message frame body (the bytes after the frame-type
-// byte).
-func decodeMessage(body []byte, epoch time.Time, cache *paramsCache) (seq uint64, to int, m runtime.Message, err error) {
-	r := &reader{b: body}
-	if v := r.byte(); v != codecVersion {
-		if r.bad {
-			return 0, 0, m, codecErr("empty message frame")
-		}
-		return 0, 0, m, codecErr("unsupported codec version %d", v)
-	}
-	seq = r.uvarint()
-	if r.bad {
-		return 0, 0, m, codecErr("truncated message frame")
-	}
-	to, m, err = readMessageBody(r, epoch, cache)
-	if err != nil {
-		return 0, 0, m, err
-	}
-	if len(r.b) != 0 {
-		return 0, 0, m, codecErr("%d trailing bytes after payload", len(r.b))
-	}
-	return seq, to, m, nil
-}
-
-// appendBatchFrame wraps count pre-encoded message bodies as one v2 batch
-// frame (length prefix included).
+// appendBatchFrame wraps count pre-encoded message bodies as one batch frame
+// (length prefix included).
 func appendBatchFrame(b []byte, seq uint64, count int, bodies []byte) ([]byte, error) {
 	start := len(b)
 	b = append(b, 0, 0, 0, 0)
@@ -549,32 +492,6 @@ func bitmapGet(bits []byte, i int) bool { return bits[i/8]&(1<<(i%8)) != 0 }
 
 // bitmapSet sets bit i of an LSB-first bitmap.
 func bitmapSet(bits []byte, i int) { bits[i/8] |= 1 << (i % 8) }
-
-// appendAckFrame encodes one ack as a full frame (length prefix included).
-func appendAckFrame(b []byte, seq uint64, ok bool) []byte {
-	start := len(b)
-	b = append(b, 0, 0, 0, 0)
-	b = append(b, frameAck)
-	b = binary.AppendUvarint(b, seq)
-	if ok {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	binary.BigEndian.PutUint32(b[start:], uint32(len(b)-start-4))
-	return b
-}
-
-// decodeAck parses an ack frame body (the bytes after the frame-type byte).
-func decodeAck(body []byte) (seq uint64, ok bool, err error) {
-	r := &reader{b: body}
-	seq = r.uvarint()
-	okByte := r.byte()
-	if r.bad || len(r.b) != 0 || okByte > 1 {
-		return 0, false, codecErr("malformed ack")
-	}
-	return seq, okByte == 1, nil
-}
 
 // readFrame reads one length-prefixed frame body into *buf (grown as
 // needed), returning the body slice. A length of zero or beyond MaxFrame is

@@ -12,17 +12,48 @@ import (
 	"repro/internal/runtime"
 )
 
+// encodeOne encodes one message as a batch frame of one and returns the
+// frame body after the frame-type byte — what the server's decode sees.
+func encodeOne(t *testing.T, seq uint64, to int, m runtime.Message, epoch time.Time) []byte {
+	t.Helper()
+	msg, err := appendMessageBody(nil, to, m, epoch)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	frame, err := appendBatchFrame(nil, seq, 1, msg)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return frame[5:] // skip length prefix + frame type
+}
+
+// decodeOne is the server's decode of a one-message batch frame body,
+// trailing-byte check included.
+func decodeOne(body []byte, epoch time.Time) (seq uint64, to int, m runtime.Message, err error) {
+	r := &reader{b: body}
+	seq, count, err := readBatchHeader(r)
+	if err != nil {
+		return 0, 0, m, err
+	}
+	if count != 1 {
+		return 0, 0, m, codecErr("batch of %d, want 1", count)
+	}
+	var cache paramsCache
+	if to, m, err = readMessageBody(r, epoch, &cache); err != nil {
+		return 0, 0, m, err
+	}
+	if len(r.b) != 0 {
+		return 0, 0, m, codecErr("%d trailing bytes after payload", len(r.b))
+	}
+	return seq, to, m, nil
+}
+
 // roundTrip encodes one message as a frame and decodes it back through the
 // same epoch, failing the test on any mismatch.
 func roundTrip(t *testing.T, m runtime.Message, to int) runtime.Message {
 	t.Helper()
 	epoch := time.Now()
-	frame, err := appendMessageFrame(nil, 7, to, m, epoch)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var cache paramsCache
-	seq, gotTo, got, err := decodeMessage(frame[5:], epoch, &cache) // skip length prefix + frame type
+	seq, gotTo, got, err := decodeOne(encodeOne(t, 7, to, m, epoch), epoch)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -115,12 +146,7 @@ func TestCodecSentAtTicks(t *testing.T) {
 	}
 	epoch := time.Now()
 	m.SentAt = epoch.Add(1500 * time.Microsecond)
-	frame, err := appendMessageFrame(nil, 1, 1, m, epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cache paramsCache
-	_, _, got, err := decodeMessage(frame[5:], epoch, &cache)
+	_, _, got, err := decodeOne(encodeOne(t, 1, 1, m, epoch), epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +183,26 @@ func TestCodecParamsCache(t *testing.T) {
 	}
 }
 
-// TestCodecAckRoundTrip covers both ack polarities.
+// TestCodecAckRoundTrip covers both polarities of every bit of a batch ack,
+// across a byte boundary.
 func TestCodecAckRoundTrip(t *testing.T) {
+	const count = 11
 	for _, ok := range []bool{true, false} {
-		frame := appendAckFrame(nil, 42, ok)
-		seq, got, err := decodeAck(frame[5:])
-		if err != nil || seq != 42 || got != ok {
-			t.Fatalf("ack(%v) round trip: seq=%d ok=%v err=%v", ok, seq, got, err)
+		sent := make([]byte, (count+7)/8)
+		for i := 0; i < count; i++ {
+			if ok == (i%3 == 0) {
+				bitmapSet(sent, i)
+			}
+		}
+		frame := appendBatchAckFrame(nil, 42, sent, count)
+		seq, bits, n, err := decodeBatchAck(frame[5:])
+		if err != nil || seq != 42 || n != count {
+			t.Fatalf("ack round trip: seq=%d count=%d err=%v", seq, n, err)
+		}
+		for i := 0; i < count; i++ {
+			if got, want := bitmapGet(bits, i), ok == (i%3 == 0); got != want {
+				t.Fatalf("ack bit %d = %v, want %v", i, got, want)
+			}
 		}
 	}
 }
@@ -172,36 +211,38 @@ func TestCodecAckRoundTrip(t *testing.T) {
 // must come back as a codec error, never a panic or a silent success.
 func TestCodecRejectsMalformed(t *testing.T) {
 	p := testParams(t)
-	good, err := appendMessageFrame(nil, 1, 2, runtime.Message{
+	body := encodeOne(t, 1, 2, runtime.Message{
 		Kind: runtime.MsgPush, Round: 3, From: 1,
 		Payload: core.Vote{P: p, Value: 5},
 	}, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := good[5:] // strip length prefix + frame type
 
 	cases := map[string][]byte{
 		"empty":            {},
 		"bad version":      append([]byte{99}, body[1:]...),
-		"truncated header": body[:2],
+		"zero count":       {batchVersion, 1, 0},
+		"truncated header": body[:4],
 		"truncated params": body[:len(body)-6],
 		"trailing bytes":   append(append([]byte{}, body...), 0xAA),
-		// The 7-byte header (version, seq, kind, flags, round, from, to — all
-		// single-byte varints here) followed by a tag outside the payload set.
-		"bad payload tag": append(append([]byte{}, body[:7]...), 0x7F),
+		// The 8-byte header (version, seq, count, kind, flags, round, from, to —
+		// all single-byte varints here) followed by a tag outside the payload
+		// set.
+		"bad payload tag": append(append([]byte{}, body[:8]...), 0x7F),
 	}
 	for name, b := range cases {
-		var cache paramsCache
-		if _, _, _, err := decodeMessage(b, time.Now(), &cache); !errors.Is(err, errCodec) {
+		if _, _, _, err := decodeOne(b, time.Now()); !errors.Is(err, errCodec) {
 			t.Errorf("%s: err = %v, want a codec error", name, err)
 		}
 	}
-	if _, _, err := decodeAck([]byte{0x01}); !errors.Is(err, errCodec) {
-		t.Errorf("truncated ack: err = %v", err)
+	acks := map[string][]byte{
+		"truncated ack":       {0x01},
+		"ack of zero":         {0x01, 0x00},
+		"ack bitmap short":    {0x01, 0x09, 0xFF},
+		"ack bitmap too long": {0x01, 0x01, 0x01, 0x00},
 	}
-	if _, _, err := decodeAck([]byte{0x01, 0x05}); !errors.Is(err, errCodec) {
-		t.Errorf("ack with ok byte 5: err = %v", err)
+	for name, b := range acks {
+		if _, _, _, err := decodeBatchAck(b); !errors.Is(err, errCodec) {
+			t.Errorf("%s: err = %v, want a codec error", name, err)
+		}
 	}
 }
 
@@ -211,15 +252,14 @@ func TestCodecRejectsMalformed(t *testing.T) {
 func TestCodecRejectsHugeCounts(t *testing.T) {
 	p := testParams(t)
 	// Hand-build an intentions payload claiming 2^40 votes in a tiny frame.
-	pb, err := appendParams([]byte{codecVersion, 1 /*seq*/, byte(runtime.MsgReply), 0 /*flags*/, 1, 1, 1}, p)
+	pb, err := appendParams([]byte{batchVersion, 1 /*seq*/, 1 /*count*/, byte(runtime.MsgReply), 0 /*flags*/, 1, 1, 1}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Splice the payload tag in front of the params block we appended.
-	msg := append(pb[:7], append([]byte{payIntentions}, pb[7:]...)...)
+	msg := append(pb[:8], append([]byte{payIntentions}, pb[8:]...)...)
 	msg = append(msg, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01) // uvarint 2^56
-	var cache paramsCache
-	if _, _, _, err := decodeMessage(msg, time.Now(), &cache); !errors.Is(err, errCodec) {
+	if _, _, _, err := decodeOne(msg, time.Now()); !errors.Is(err, errCodec) {
 		t.Fatalf("err = %v, want a codec error", err)
 	}
 }

@@ -14,10 +14,10 @@ import (
 	"repro/internal/runtime"
 )
 
-// Dial/retry tuning. A Deliver makes at most maxAttempts passes over the
-// dial-write sequence, sleeping a doubling backoff (capped at maxBackoff)
-// after each failed dial, so a dead peer costs a bounded ~100ms before the
-// delivery is reported lost instead of wedging the coordinator forever.
+// Dial/retry tuning. Dispatching a frame makes at most maxAttempts dials,
+// sleeping a doubling backoff (capped at maxBackoff) after each failed one, so
+// a dead peer costs a bounded ~100ms before the frame's deliveries are
+// reported lost instead of wedging the coordinator forever.
 const (
 	maxAttempts    = 6
 	initialBackoff = time.Millisecond
@@ -25,10 +25,11 @@ const (
 )
 
 // SocketConduit is a runtime.Conduit whose deliveries cross a real OS
-// socket. It is both halves of the transport: a listener that routes inbound
-// message frames into the destination node's mailbox and answers with an ack
-// frame, and a per-peer set of outbound connections (lazily dialed,
-// reconnected with bounded backoff) that Deliver writes message frames to.
+// socket. It is both halves of the transport: a listener that routes the
+// messages of inbound batch frames into their destination nodes' mailboxes and
+// answers each frame with a bitmap ack, and a per-peer set of outbound
+// connections (lazily dialed, reconnected with bounded backoff) that batches
+// write their frames to.
 //
 // With the default routing every node is hosted behind the conduit's own
 // listener — the single-process loopback configuration the transcript-
@@ -53,6 +54,12 @@ type SocketConduit struct {
 	// batchBytes caps one staged batch frame's body; 0 means
 	// defaultBatchBytes. Tests shrink it to force multi-frame windows.
 	batchBytes int
+
+	// singles holds the idle one-message batches Deliver runs on — as many
+	// as Delivers have ever overlapped — so its steady state allocates
+	// nothing. (A sync.Pool would: it sheds entries at every GC.)
+	smu     sync.Mutex
+	singles []*socketBatch
 
 	mu    sync.Mutex
 	peers map[string]*peer
@@ -126,19 +133,27 @@ func (c *SocketConduit) Route(id int, network, addr string) {
 	c.peerCache.Delete(id)
 }
 
-// Deliver implements runtime.Conduit: encode the message, write it to the
-// peer hosting dst (dialing or re-dialing as needed), and wait for the ack
-// that says dst's mailbox accepted it. False means the message did not
-// survive transport — encode-to-mailbox — and the scheduler applies its loss
-// semantics.
+// Deliver implements runtime.Conduit as a batch of one: encode the message,
+// write its frame to the peer hosting dst (dialing or re-dialing as needed),
+// and wait for the ack that says dst's mailbox accepted it. False means the
+// message did not survive transport — encode-to-mailbox — and the scheduler
+// applies its loss semantics.
 func (c *SocketConduit) Deliver(dst *runtime.Node, m runtime.Message) bool {
-	select {
-	case <-c.closed:
-		return false
-	default:
+	var b *socketBatch
+	c.smu.Lock()
+	if k := len(c.singles); k > 0 {
+		b, c.singles = c.singles[k-1], c.singles[:k-1]
 	}
-	c.register(dst)
-	return c.peerFor(dst.ID()).deliver(dst.ID(), m)
+	c.smu.Unlock()
+	if b == nil {
+		b = c.NewBatch().(*socketBatch)
+	}
+	b.Add(dst, m)
+	ok := b.Flush()[0]
+	c.smu.Lock()
+	c.singles = append(c.singles, b)
+	c.smu.Unlock()
+	return ok
 }
 
 // register lazily records dst as locally hosted. Load-then-store: on the
@@ -153,7 +168,7 @@ func (c *SocketConduit) register(dst *runtime.Node) {
 
 // Close shuts the conduit down: stop accepting, close every connection in
 // both directions, wait for all conduit goroutines, and remove the unix
-// socket's temp directory. Idempotent. Pending Delivers fail as losses. Close
+// socket's temp directory. Idempotent. Pending deliveries fail as losses. Close
 // after the runtime's nodes have stopped (Runtime.Shutdown's order): a node
 // blocked in a mailbox Send holds its inbound connection's read loop until
 // the node's stop channel releases it.
@@ -242,13 +257,13 @@ func (c *SocketConduit) dropConn(conn net.Conn) {
 	c.mu.Unlock()
 }
 
-// serve is the inbound half of the round trip: read frames, route each
-// message into the destination node's mailbox, ack with the Send result — a
-// v1 message frame gets its own ack, a v2 batch frame is decoded streaming
-// (each body Sent in order, preserving per-destination FIFO) and answered
-// with one batched bitmap ack. Any malformed frame is connection-fatal — the
-// peer's pending deliveries fail as losses and the conduit stays up for the
-// next connection — so garbage on the wire can never wedge the coordinator.
+// serve is the inbound half of the round trip: read batch frames, decode each
+// one streaming — every body Sent into its destination node's mailbox in
+// order, preserving per-destination FIFO — and answer it with one bitmap ack
+// of the Send results. Any malformed frame, and any frame type but a batch, is
+// connection-fatal — the peer's pending deliveries fail as losses and the
+// conduit stays up for the next connection — so garbage on the wire can never
+// wedge the coordinator.
 func (c *SocketConduit) serve(conn net.Conn) {
 	defer c.wg.Done()
 	defer c.dropConn(conn)
@@ -262,56 +277,45 @@ func (c *SocketConduit) serve(conn net.Conn) {
 			}
 			return
 		}
-		switch body[0] {
-		case frameMessage:
-			seq, to, m, err := decodeMessage(body[1:], c.epoch, &cache)
-			if err != nil {
-				c.rejects.Add(1)
-				return
-			}
-			node := c.node(to)
-			ok := node != nil && node.Send(m)
-			out = appendAckFrame(out[:0], seq, ok)
-		case frameBatch:
-			r := &reader{b: body[1:]}
-			seq, count, err := readBatchHeader(r)
-			if err != nil {
-				c.rejects.Add(1)
-				return
-			}
-			need := (count + 7) / 8
-			if cap(bits) < need {
-				bits = make([]byte, need)
-			}
-			bits = bits[:need]
-			clear(bits)
-			for i := 0; i < count; i++ {
-				to, m, err := readMessageBody(r, c.epoch, &cache)
-				if err != nil {
-					c.rejects.Add(1)
-					return
-				}
-				if node := c.node(to); node != nil && node.Send(m) {
-					bitmapSet(bits, i)
-				}
-			}
-			if len(r.b) != 0 {
-				c.rejects.Add(1)
-				return
-			}
-			out = appendBatchAckFrame(out[:0], seq, bits, count)
-		default:
+		if body[0] != frameBatch {
 			c.rejects.Add(1)
 			return
 		}
+		r := &reader{b: body[1:]}
+		seq, count, err := readBatchHeader(r)
+		if err != nil {
+			c.rejects.Add(1)
+			return
+		}
+		need := (count + 7) / 8
+		if cap(bits) < need {
+			bits = make([]byte, need)
+		}
+		bits = bits[:need]
+		clear(bits)
+		for i := 0; i < count; i++ {
+			to, m, err := readMessageBody(r, c.epoch, &cache)
+			if err != nil {
+				c.rejects.Add(1)
+				return
+			}
+			if node := c.node(to); node != nil && node.Send(m) {
+				bitmapSet(bits, i)
+			}
+		}
+		if len(r.b) != 0 {
+			c.rejects.Add(1)
+			return
+		}
+		out = appendBatchAckFrame(out[:0], seq, bits, count)
 		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
 }
 
-// peer is one outbound destination: the connection to a listener, its
-// pending-ack table, and the reconnect state.
+// peer is one outbound destination: the connection to a listener and the
+// reconnect state.
 type peer struct {
 	c       *SocketConduit
 	network string
@@ -323,19 +327,17 @@ type peer struct {
 	redialed bool // a connection died; the next successful dial is a reconnect
 }
 
-// peerConn is one live outbound connection. Pending acks — single and
-// batched — are per-connection: when the connection dies, exactly the
-// deliveries written to it fail — a retry on a fresh connection starts a
-// fresh table.
+// peerConn is one live outbound connection. Pending acks are per-connection:
+// when the connection dies, exactly the frames written to it fail — the next
+// dial starts a fresh table.
 type peerConn struct {
 	conn net.Conn
 
 	wmu sync.Mutex // serializes frame writes
 
-	pmu          sync.Mutex
-	pending      map[uint64]chan bool
-	pendingBatch map[uint64]*batchWaiter
-	dead         bool
+	pmu     sync.Mutex
+	pending map[uint64]*batchWaiter // in-flight frames by sequence number
+	dead    bool
 }
 
 // batchWaiter is one in-flight batch frame's completion slot: resolved by
@@ -350,62 +352,34 @@ type batchWaiter struct {
 	idxs []int32 // the frame's messages as indices into the wave's results
 }
 
-func (pc *peerConn) register(seq uint64, ch chan bool) {
-	// Reset a pooled channel: a stale buffered result would corrupt this
-	// registration's ack.
-	select {
-	case <-ch:
-	default:
-	}
-	pc.pmu.Lock()
-	if pc.dead {
-		pc.pmu.Unlock()
-		ch <- false
-		return
-	}
-	pc.pending[seq] = ch
-	pc.pmu.Unlock()
-}
-
-func (pc *peerConn) unregister(seq uint64) {
-	pc.pmu.Lock()
-	delete(pc.pending, seq)
-	pc.pmu.Unlock()
-}
-
-func (pc *peerConn) resolve(seq uint64, ok bool) {
-	pc.pmu.Lock()
-	ch, found := pc.pending[seq]
-	delete(pc.pending, seq)
-	pc.pmu.Unlock()
-	if found {
-		ch <- ok
-	}
-}
-
-// registerBatch parks a batch waiter under seq; false means the connection
-// is already dead and the caller should fail or re-dial.
-func (pc *peerConn) registerBatch(seq uint64, w *batchWaiter) bool {
+// register parks a frame's waiter under seq; false means the connection is
+// already dead and the caller should fail or re-dial.
+func (pc *peerConn) register(seq uint64, w *batchWaiter) bool {
 	pc.pmu.Lock()
 	if pc.dead {
 		pc.pmu.Unlock()
 		return false
 	}
-	pc.pendingBatch[seq] = w
+	pc.pending[seq] = w
 	pc.pmu.Unlock()
 	return true
 }
 
-func (pc *peerConn) unregisterBatch(seq uint64) {
+// unregister takes seq's waiter back after a failed write. It reports false
+// when the connection's death got there first: failAll owns the waiter then
+// and signals it, so the caller must not.
+func (pc *peerConn) unregister(seq uint64) bool {
 	pc.pmu.Lock()
-	delete(pc.pendingBatch, seq)
+	_, found := pc.pending[seq]
+	delete(pc.pending, seq)
 	pc.pmu.Unlock()
+	return found
 }
 
-func (pc *peerConn) resolveBatch(seq uint64, bits []byte) {
+func (pc *peerConn) resolve(seq uint64, bits []byte) {
 	pc.pmu.Lock()
-	w, found := pc.pendingBatch[seq]
-	delete(pc.pendingBatch, seq)
+	w, found := pc.pending[seq]
+	delete(pc.pending, seq)
 	pc.pmu.Unlock()
 	if found {
 		w.bits = append(w.bits[:0], bits...)
@@ -414,22 +388,16 @@ func (pc *peerConn) resolveBatch(seq uint64, bits []byte) {
 	}
 }
 
-// failAll resolves every pending delivery — single and batched — as lost;
-// later registers fail immediately. A partially-acked window fails exactly
-// its unacked remainder: frames the reader already resolved are gone from
-// the table.
+// failAll resolves every pending frame as lost; later registers fail
+// immediately. A partially-acked window fails exactly its unacked remainder:
+// frames the reader already resolved are gone from the table.
 func (pc *peerConn) failAll() {
 	pc.pmu.Lock()
 	pending := pc.pending
-	batches := pc.pendingBatch
 	pc.pending = nil
-	pc.pendingBatch = nil
 	pc.dead = true
 	pc.pmu.Unlock()
-	for _, ch := range pending {
-		ch <- false
-	}
-	for _, w := range batches {
+	for _, w := range pending {
 		w.ok = false
 		w.done <- struct{}{}
 	}
@@ -440,82 +408,6 @@ func (pc *peerConn) write(frame []byte) error {
 	defer pc.wmu.Unlock()
 	_, err := pc.conn.Write(frame)
 	return err
-}
-
-// bufPool recycles frame-encode buffers and ackChanPool the single-delivery
-// ack channels, keeping the steady-state Deliver path allocation-free.
-var (
-	bufPool = sync.Pool{New: func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	}}
-	ackChanPool = sync.Pool{New: func() any { return make(chan bool, 1) }}
-)
-
-// putAckChan drains and returns an ack channel to the pool. The drain covers
-// a resolve that won the race with the waiter's exit path — the buffered
-// result belongs to a registration that no longer exists.
-func putAckChan(ch chan bool) {
-	select {
-	case <-ch:
-	default:
-	}
-	ackChanPool.Put(ch)
-}
-
-// deliver runs one message through the write-then-ack round trip, re-dialing
-// with bounded backoff when the connection is down or dies under the write.
-// A failure after the write succeeded is not retried: the message may have
-// reached the mailbox, and at-most-once is the loss semantics the scheduler
-// expects.
-func (p *peer) deliver(to int, m runtime.Message) bool {
-	seq := p.seq.Add(1)
-	bp := bufPool.Get().(*[]byte)
-	defer bufPool.Put(bp)
-	frame, err := appendMessageFrame((*bp)[:0], seq, to, m, p.c.epoch)
-	if err != nil {
-		// Only a payload type outside the protocol's set gets here: a
-		// programming error, not a transport condition. Fail loudly instead
-		// of folding it into the loss model.
-		panic(fmt.Sprintf("netconduit: %v", err))
-	}
-	*bp = frame
-	ch := ackChanPool.Get().(chan bool)
-	defer putAckChan(ch)
-	backoff := initialBackoff
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		select {
-		case <-p.c.closed:
-			return false
-		default:
-		}
-		pc, err := p.ensureConn()
-		if err != nil {
-			select {
-			case <-p.c.closed:
-				return false
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-			continue
-		}
-		pc.register(seq, ch)
-		if err := pc.write(frame); err != nil {
-			pc.unregister(seq)
-			p.kill(pc)
-			continue
-		}
-		select {
-		case ok := <-ch:
-			return ok
-		case <-p.c.closed:
-			pc.unregister(seq)
-			return false
-		}
-	}
-	return false
 }
 
 // ensureConn returns the live connection, dialing one (and starting its ack
@@ -534,18 +426,14 @@ func (p *peer) ensureConn() (*peerConn, error) {
 		p.redialed = false
 		p.c.reconnects.Add(1)
 	}
-	pc := &peerConn{
-		conn:         conn,
-		pending:      make(map[uint64]chan bool),
-		pendingBatch: make(map[uint64]*batchWaiter),
-	}
+	pc := &peerConn{conn: conn, pending: make(map[uint64]*batchWaiter)}
 	p.pc = pc
 	p.c.wg.Add(1)
 	go p.readAcks(pc)
 	return pc, nil
 }
 
-// kill retires a connection: detach it so the next deliver re-dials, close
+// kill retires a connection: detach it so the next dispatch re-dials, close
 // it, and fail what was in flight on it.
 func (p *peer) kill(pc *peerConn) {
 	p.mu.Lock()
@@ -576,12 +464,11 @@ func (p *peer) closeConn() {
 const defaultBatchBytes = 32 << 10
 
 // NewBatch implements runtime.BatchConduit: deliveries staged through the
-// returned batch coalesce per peer into v2 multi-message frames — one write
-// and one batched bitmap ack per frame instead of a synchronous round trip
-// per message — with a window of in-flight frames per peer that Flush
-// settles at the round barrier. The batch is owned by one goroutine (the
-// coordinator); the conduit's Deliver stays independently usable between
-// flushes.
+// returned batch coalesce per peer into multi-message frames — one write and
+// one bitmap ack per frame instead of a synchronous round trip per message —
+// with a window of in-flight frames per peer that Flush settles at the round
+// barrier. The batch is owned by one goroutine (the coordinator); other
+// batches, and Deliver, stay independently usable on the same conduit.
 func (c *SocketConduit) NewBatch() runtime.Batch {
 	return &socketBatch{c: c, stages: make(map[*peer]*peerStage)}
 }
@@ -630,8 +517,9 @@ func (b *socketBatch) Add(dst *runtime.Node, m runtime.Message) {
 	buf, err := appendMessageBody(st.buf, id, m, b.c.epoch)
 	if err != nil {
 		st.buf = st.buf[:start]
-		// Same contract as deliver: an unencodable payload is a programming
-		// error, not a transport condition.
+		// Only a payload type outside the protocol's set gets here: a
+		// programming error, not a transport condition. Fail loudly instead
+		// of folding it into the loss model.
 		panic(fmt.Sprintf("netconduit: %v", err))
 	}
 	st.buf = buf
@@ -698,12 +586,12 @@ func (b *socketBatch) fail(w *batchWaiter) {
 }
 
 // dispatch seals one stage into a batch frame and writes it, leaving its
-// waiter in flight for Flush to settle. The dial gets the same bounded
-// backoff as a single delivery, but a frame is never re-written after a
-// write error: in-flight frames on the dying connection could still be
-// processed, and a rewrite on a fresh connection would overtake them and
-// break per-destination FIFO order — so the frame's deliveries fail as
-// transport losses instead (at-most-once, the scheduler's loss semantics).
+// waiter in flight for Flush to settle. The dial is retried with bounded
+// backoff, but a frame is never re-written after a write error: it, or
+// in-flight frames on the dying connection, could still be processed, and a
+// rewrite on a fresh connection would duplicate it or overtake them and break
+// per-destination FIFO order — so the frame's deliveries fail as transport
+// losses instead (at-most-once, the scheduler's loss semantics).
 func (b *socketBatch) dispatch(st *peerStage) {
 	w := b.getWaiter()
 	w.idxs = append(w.idxs, st.idxs...)
@@ -742,13 +630,15 @@ func (b *socketBatch) dispatch(st *peerStage) {
 			}
 			continue
 		}
-		if !pc.registerBatch(seq, w) {
+		if !pc.register(seq, w) {
 			continue // died under us; the next attempt re-dials
 		}
 		if err := pc.write(frame); err != nil {
-			pc.unregisterBatch(seq)
+			mine := pc.unregister(seq)
 			p.kill(pc)
-			b.fail(w)
+			if mine {
+				b.fail(w)
+			}
 			return
 		}
 		return // in flight; Flush settles it
@@ -756,34 +646,22 @@ func (b *socketBatch) dispatch(st *peerStage) {
 	b.fail(w)
 }
 
-// readAcks drains one connection's ack stream — single acks and batch
-// bitmaps — resolving pending deliveries, until the connection dies — then
-// retires it so in-flight deliveries fail and the next one reconnects.
+// readAcks drains one connection's ack stream, resolving pending frames,
+// until the connection dies or speaks anything but a well-formed batch ack —
+// then retires it so in-flight deliveries fail and the next one reconnects.
 func (p *peer) readAcks(pc *peerConn) {
 	defer p.c.wg.Done()
 	var buf []byte
-loop:
 	for {
 		body, err := readFrame(pc.conn, &buf)
+		if err != nil || body[0] != frameBatchAck {
+			break
+		}
+		seq, bits, _, err := decodeBatchAck(body[1:])
 		if err != nil {
 			break
 		}
-		switch body[0] {
-		case frameAck:
-			seq, ok, err := decodeAck(body[1:])
-			if err != nil {
-				break loop
-			}
-			pc.resolve(seq, ok)
-		case frameBatchAck:
-			seq, bits, _, err := decodeBatchAck(body[1:])
-			if err != nil {
-				break loop
-			}
-			pc.resolveBatch(seq, bits)
-		default:
-			break loop
-		}
+		pc.resolve(seq, bits)
 	}
 	p.kill(pc)
 }

@@ -16,34 +16,33 @@
 // their actions (the nodes run Act concurrently, like the engine's parallel
 // Act phase), validate against the topology in node order, then deliver
 // pushes and resolve pulls in ascending node-ID order. Message loss
-// (Config.Drop) is drawn from the same seed-derived stream in the same order
-// as the simulator. Agents never emit trace events, so with the loss-free
-// ChannelConduit the runtime's transcript is byte-identical to the
-// simulator's for the same seed — every golden fixture and experiment
-// finding carries over. See the equivalence suite in this package's tests.
+// (Config.Drop) is the simulator's keyed decision (gossip.Loss) under the same
+// key, so the runtime loses exactly the crossings the simulator loses. Agents
+// never emit trace events, so over any transport that loses nothing of its
+// own the runtime's transcript is byte-identical to the simulator's for the
+// same seed — every golden fixture and experiment finding carries over. See
+// the equivalence suite in this package's tests.
 //
 // # Pipelined delivery
 //
 // The protocol's correctness barrier is per round, so the coordinator does
 // not need a synchronous transport round trip per message — only per-
-// destination delivery order and coordinator-ordered observables. When the
-// conduit implements BatchConduit, each phase of a round is dispatched as
-// one pipelined wave: loss decisions are drawn from the Drop stream in
-// simulator order before dispatch, the whole delivery set is handed to the
-// transport without waiting per message, and results, trace events, and
-// accounting are settled at the barrier in the simulator's order — so the
-// transcript stays byte-identical while the transport coalesces frames and
-// overlaps acknowledgements. Pull rounds pipeline only when Drop == 0: the
-// simulator interleaves a pull's conditional reply-loss draw with the next
-// pull's query draw, so a lossy pull phase keeps the serial per-message path
-// to preserve the stream's exact order. Conduits without the batch seam
-// (FaultConduit, external test transports) are always driven serially: one
-// Deliver, one wait, per message.
+// destination delivery order and coordinator-ordered observables. Every phase
+// of a round is dispatched as one pipelined wave through the conduit's Batch
+// (a conduit without the batch seam gets an adapter whose Add is Deliver):
+// loss is decided per crossing before dispatch — a keyed decision does not
+// care when it is asked — the whole delivery set is handed to the transport
+// without waiting per message, and results, trace events, and accounting are
+// settled at the barrier in the simulator's order. The transcript stays
+// byte-identical while the transport coalesces frames and overlaps
+// acknowledgements. A pull phase is two waves: queries, then — once every
+// target's HandlePull result is in — the replies that survive their own loss
+// decision.
 //
 // # Round barrier
 //
-// Every coordinator wait — a round's Act fan-out, a delivery wave, one
-// serially delivered message — is one barrier, and reaching it takes no
+// Every coordinator wait — the Act fan-out of a round, or any one of its
+// delivery waves — is one barrier, and reaching it takes no
 // channel that two nodes share. A node leaves what a handler produced in
 // slots only it writes (its entry of the action table, a FIFO of HandlePull
 // results, a scratch of delivery latencies) and bumps one atomic count of
@@ -105,9 +104,9 @@ type Config struct {
 	// emits, so the sink needs no synchronization.
 	Trace trace.Sink
 	// Drop and DropRand are the probabilistic message-loss model, with
-	// exactly gossip.Config's semantics: the loss stream is drawn once per
-	// non-self message in delivery order, so for the same seed the runtime
-	// loses the same messages the simulator does.
+	// exactly gossip.Config's semantics: a keyed decision per link crossing,
+	// so for the same seed the runtime loses the same messages the simulator
+	// does.
 	Drop     float64
 	DropRand *rng.Source
 	// Conduit is the transport; nil means ChannelConduit.
@@ -127,8 +126,7 @@ type Runtime struct {
 	faults   gossip.FaultSchedule
 	counters *metrics.Counters
 	sink     trace.Sink
-	drop     float64
-	dropRand *rng.Source
+	loss     gossip.Loss
 	conduit  Conduit
 
 	nodes []*Node
@@ -143,8 +141,7 @@ type Runtime struct {
 	pushes  []int32
 	pulls   []int32
 
-	// Pipelined-delivery scratch, reused every round. batch is non-nil iff
-	// the conduit implements BatchConduit; rhead[id] is how far the
+	// Delivery-wave scratch, reused every round. rhead[id] is how far the
 	// coordinator has read into node id's reply FIFO.
 	batch  Batch
 	pfates []pushFate
@@ -157,27 +154,27 @@ type Runtime struct {
 	kinds     [msgKinds]int64
 }
 
-// pushFate is one push's pre-drawn, pre-dispatch disposition in a pipelined
-// wave: the loss stream and silence mask are consulted in simulator order
-// before anything is handed to the transport.
+// pushFate is one push's — or one pull query's — disposition before
+// dispatch: the loss decision and the silence mask are consulted before
+// anything is handed to the transport.
 type pushFate uint8
 
 const (
 	pushSelf   pushFate = iota // local, free, rides the batch for FIFO order
-	pushLost                   // killed by the Drop stream before dispatch
+	pushLost                   // lost on the link (Config.Drop) before dispatch
 	pushSilent                 // target quiescent: cost paid, nothing sent
 	pushSent                   // dispatched; transport decides the rest
 )
 
 // pullRec is one pull's bookkeeping across the query and reply waves of a
-// pipelined pull phase. The final disposition (note, accounting) is settled
-// at the barrier so trace bytes come out in exactly the serial order.
+// pull phase. The final disposition (note, accounting) is settled at the
+// barrier so trace bytes come out in exactly the simulator's order.
 type pullRec struct {
-	fate      pushFate // pushSelf / pushSilent ("no-reply") / pushSent (query dispatched)
-	note      string   // final trace note; "" means a successful pull
-	isReply   bool     // a real reply was dispatched in wave 2
-	w2        int32    // index into the wave-2 results, -1 if none
-	replyBits int32    // accounted size of the dispatched reply
+	fate      pushFate // the query's
+	note      string   // trace note of a failed pull; "" while it can still succeed
+	served    bool     // the target answered: the reply's cost is paid
+	replyBits int32    // accounted size of the served reply
+	w2        int32    // the reply's index in the wave-2 results, -1 if not dispatched
 }
 
 // New validates cfg, builds the node set, and starts one goroutine per
@@ -200,12 +197,6 @@ func New(cfg Config, agents []gossip.Agent) *Runtime {
 		if a == nil && !faulty[i] {
 			panic(fmt.Sprintf("runtime: active node %d has no agent", i))
 		}
-	}
-	if cfg.Drop < 0 || cfg.Drop >= 1 {
-		panic(fmt.Sprintf("runtime: drop probability %v outside [0, 1)", cfg.Drop))
-	}
-	if cfg.Drop > 0 && cfg.DropRand == nil {
-		panic("runtime: Drop > 0 requires a DropRand source")
 	}
 	counters := cfg.Counters
 	if counters == nil {
@@ -230,18 +221,15 @@ func New(cfg Config, agents []gossip.Agent) *Runtime {
 		faults:   faults,
 		counters: counters,
 		sink:     cfg.Trace,
-		drop:     cfg.Drop,
-		dropRand: cfg.DropRand,
+		loss:     gossip.NewLoss(cfg.Drop, cfg.DropRand),
 		conduit:  conduit,
+		batch:    newBatch(conduit),
 		nodes:    make([]*Node, n),
 		bar:      newBarrier(),
 		actions:  make([]gossip.Action, n),
 		rhead:    make([]int, n),
 	}
 	rt.dyn, _ = cfg.Topology.(topo.Dynamic)
-	if bc, ok := conduit.(BatchConduit); ok {
-		rt.batch = bc.NewBatch()
-	}
 	for i, a := range agents {
 		if a == nil {
 			continue
@@ -347,12 +335,6 @@ func (rt *Runtime) silent(r, u int) bool {
 	return rt.agents[u] == nil || rt.faults.Silent(r, u)
 }
 
-// lost draws one link crossing against the loss model — same stream, same
-// order as the simulator's executor.
-func (rt *Runtime) lost() bool {
-	return rt.drop > 0 && rt.dropRand.Bool(rt.drop)
-}
-
 func (rt *Runtime) emit(ev trace.Event) {
 	if rt.sink != nil {
 		rt.sink.Emit(ev)
@@ -415,27 +397,8 @@ func (rt *Runtime) step() bool {
 		}
 	}
 
-	// Delivery: pipelined waves when the conduit can batch, the serial
-	// per-message path otherwise. A lossy pull phase always runs serially —
-	// the simulator interleaves each pull's conditional reply-loss draw with
-	// the next pull's query draw, so its stream order cannot be pre-drawn.
-	// (Push losses are one unconditional draw per non-self push in sender
-	// order, and all push draws precede all pull draws, so the push wave may
-	// pipeline even under loss.)
-	if rt.batch != nil {
-		rt.deliverPushesBatched(round)
-	} else {
-		for _, u := range rt.pushes {
-			rt.deliverPush(round, int(u), rt.actions[u])
-		}
-	}
-	if rt.batch != nil && rt.drop == 0 {
-		rt.resolvePullsBatched(round)
-	} else {
-		for _, u := range rt.pulls {
-			rt.resolvePull(round, int(u), rt.actions[u])
-		}
-	}
+	rt.pushWave(round)
+	rt.pullWaves(round)
 	if rt.bar.stopped.Load() {
 		return false
 	}
@@ -469,107 +432,6 @@ func (rt *Runtime) validate(round, u int, a *gossip.Action) {
 	}
 }
 
-// roundTrip sends a scheduler-internal message directly into a node's
-// mailbox — bypassing the conduit — and waits for the node to handle it.
-// Self-operations and nil-reply notifications travel this way: they are not
-// link crossings, so the transport gets no chance to delay or drop them.
-func (rt *Runtime) roundTrip(to int, m Message) {
-	if rt.nodes[to].Send(m) {
-		rt.bar.await(1)
-	}
-}
-
-// transport carries one timed payload message through the conduit and waits
-// for the receiving node to handle it. It reports false when the conduit
-// dropped the message (the caller then applies the simulator's loss
-// semantics) — and under a Shutdown, when every later Send fails too, so a
-// serial phase falls through without reading node state.
-func (rt *Runtime) transport(to int, m Message) bool {
-	m.SentAt = time.Now()
-	if !rt.conduit.Deliver(rt.nodes[to], m) || !rt.bar.await(1) {
-		return false
-	}
-	rt.delivered++
-	rt.kinds[m.Kind]++
-	return true
-}
-
-// deliverPush delivers one push with the executor's exact semantics: a
-// self-push is local and free; a non-self push always incurs its cost, may
-// be lost on the link (loss stream or transport), and lands in the void when
-// the target is quiescent.
-func (rt *Runtime) deliverPush(round, u int, a gossip.Action) {
-	kind := classifyPush(a.Payload)
-	m := Message{Kind: kind, Round: round, From: u, Payload: a.Payload}
-	if u == a.To {
-		rt.roundTrip(u, m)
-		return
-	}
-	rt.tally.AddPush()
-	rt.tally.AddMessage(gossip.PayloadBits(a.Payload))
-	if rt.lost() {
-		rt.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To, Note: "lost"})
-		return
-	}
-	if rt.silent(round, a.To) {
-		rt.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To})
-		return
-	}
-	if !rt.transport(a.To, m) {
-		rt.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To, Note: "lost"})
-		return
-	}
-	rt.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To})
-}
-
-// resolvePull resolves one pull — query out, optional reply back — with the
-// executor's exact semantics and trace notes. The query and the reply cross
-// the conduit; the nil-reply notification a failed pull produces goes
-// directly to the puller's mailbox.
-func (rt *Runtime) resolvePull(round, u int, a gossip.Action) {
-	if u == a.To {
-		rt.roundTrip(u, Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload})
-		return
-	}
-	rt.tally.AddMessage(gossip.PayloadBits(a.Payload))
-	if rt.lost() {
-		rt.failPull(round, u, a.To, "query-lost")
-		return
-	}
-	if rt.silent(round, a.To) {
-		rt.failPull(round, u, a.To, "no-reply")
-		return
-	}
-	if !rt.transport(a.To, Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload}) {
-		rt.failPull(round, u, a.To, "query-lost")
-		return
-	}
-	reply := rt.popReply(a.To)
-	if reply == nil {
-		rt.failPull(round, u, a.To, "refused")
-		return
-	}
-	rt.tally.AddMessage(gossip.PayloadBits(reply))
-	if rt.lost() {
-		rt.failPull(round, u, a.To, "reply-lost")
-		return
-	}
-	if !rt.transport(u, Message{Kind: MsgReply, Round: round, From: a.To, Payload: reply}) {
-		rt.failPull(round, u, a.To, "reply-lost")
-		return
-	}
-	rt.tally.AddPull(true)
-	rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To})
-}
-
-// failPull accounts and traces one failed pull, then notifies the puller
-// with a nil reply — the same observation a quiescent target produces.
-func (rt *Runtime) failPull(round, u, to int, note string) {
-	rt.tally.AddPull(false)
-	rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: to, Note: note})
-	rt.roundTrip(u, Message{Kind: MsgReply, Round: round, From: to})
-}
-
 // popReply consumes node id's next HandlePull result, rewinding the FIFO once
 // it is read out. A node appends in mailbox order and a batch preserves
 // per-destination Add order, so popping a target in puller order matches
@@ -597,14 +459,16 @@ func (rt *Runtime) flushWave(direct int) bool {
 	return rt.bar.await(direct)
 }
 
-// deliverPushesBatched delivers the round's push set as one pipelined wave:
-// fates are pre-drawn in sender order (keeping the Drop stream aligned with
-// the simulator), every surviving push is dispatched without a per-message
-// wait, and accounting plus trace events are settled at the barrier in sender
-// order — byte-identical to the serial path's transcript. Self-pushes ride
-// the batch too (untimed, untallied): a direct mailbox send could overtake
-// the wave's in-flight deliveries to the same node and reorder HandlePush.
-func (rt *Runtime) deliverPushesBatched(round int) {
+// pushWave delivers the round's push set as one pipelined wave with the
+// executor's semantics: a self-push is local and free; a non-self push always
+// incurs its cost, may be lost on the link (loss decision or transport), and
+// lands in the void when the target is quiescent. Fates are decided in sender
+// order, every surviving push is dispatched without a per-message wait, and
+// accounting plus trace events are settled at the barrier in sender order —
+// the simulator's transcript. Self-pushes ride the batch too (untimed,
+// untallied): a direct mailbox send could overtake the wave's in-flight
+// deliveries to the same node and reorder HandlePush.
+func (rt *Runtime) pushWave(round int) {
 	if len(rt.pushes) == 0 {
 		return
 	}
@@ -617,7 +481,7 @@ func (rt *Runtime) deliverPushesBatched(round int) {
 		case u == a.To:
 			rt.batch.Add(rt.nodes[u], Message{Kind: classifyPush(a.Payload), Round: round, From: u, Payload: a.Payload})
 			rt.pfates = append(rt.pfates, pushSelf)
-		case rt.lost():
+		case rt.loss.Lost(round, u, a.To, gossip.LegPush):
 			rt.pfates = append(rt.pfates, pushLost)
 		case rt.silent(round, a.To):
 			rt.pfates = append(rt.pfates, pushSilent)
@@ -661,18 +525,20 @@ func (rt *Runtime) deliverPushesBatched(round int) {
 	}
 }
 
-// resolvePullsBatched resolves the round's pull set in pipelined waves (only
-// when Drop == 0; see step). Wave 1 dispatches every query — self-pulls ride
-// the batch for mailbox-order safety, quiescent targets dispatch nothing —
-// and collects the targets' HandlePull results at the barrier. The resolution
+// pullWaves resolves the round's pull set — query out, optional reply back —
+// in two pipelined waves with the executor's semantics and trace notes. Wave 1
+// dispatches every query that survives its loss decision — self-pulls ride
+// the batch for mailbox-order safety, quiescent targets dispatch nothing — and
+// collects the targets' HandlePull results at the barrier. The resolution
 // pass then walks pullers in ascending order, matching replies per-target
-// FIFO, and assembles wave 2: real replies cross the conduit (timed), while
-// nil-reply notifications go straight to the puller's mailbox exactly as the
-// serial path's roundTrip does — they are not link crossings. Wave 2 has at
-// most one message per puller, so no ordering hazard remains. Accounting and
-// trace events are settled last, in puller order; a reply the transport loses
-// (rare: a dying connection) is re-notified serially there.
-func (rt *Runtime) resolvePullsBatched(round int) {
+// FIFO, and assembles wave 2: a served reply that survives its own loss
+// decision crosses the conduit (timed), while the nil reply a failed pull
+// produces — the same observation a quiescent target gives — goes straight to
+// the puller's mailbox: it is not a link crossing, so the transport gets no
+// chance to delay or drop it. Wave 2 has at most one message per puller, so no
+// ordering hazard remains. Accounting and trace events are settled last, in
+// puller order; a puller whose reply the transport lost gets its nil there.
+func (rt *Runtime) pullWaves(round int) {
 	if len(rt.pulls) == 0 {
 		return
 	}
@@ -685,6 +551,8 @@ func (rt *Runtime) resolvePullsBatched(round int) {
 		case u == a.To:
 			rt.batch.Add(rt.nodes[u], Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload})
 			rt.precs = append(rt.precs, pullRec{fate: pushSelf})
+		case rt.loss.Lost(round, u, a.To, gossip.LegQuery):
+			rt.precs = append(rt.precs, pullRec{fate: pushLost, note: "query-lost"})
 		case rt.silent(round, a.To):
 			rt.precs = append(rt.precs, pullRec{fate: pushSilent, note: "no-reply"})
 		default:
@@ -707,63 +575,89 @@ func (rt *Runtime) resolvePullsBatched(round int) {
 		a := rt.actions[u]
 		rec := &rt.precs[i]
 		rec.w2 = -1
+		var reply gossip.Payload
 		switch rec.fate {
 		case pushSelf:
 			j++
 			continue
 		case pushSent:
+			reply = rt.answer(round, u, a.To, rt.oks[j], rec)
 			j++
-			if !rt.oks[j-1] {
-				rec.note = "query-lost"
-				break
+		}
+		if reply == nil {
+			// A failed pull: the puller observes silence.
+			if rt.notify(round, u, a.To) {
+				notifies++
 			}
-			reply := rt.popReply(a.To)
-			rt.delivered++
-			rt.kinds[MsgQuery]++
-			if reply == nil {
-				rec.note = "refused"
-				break
-			}
-			rec.isReply = true
-			rec.replyBits = int32(gossip.PayloadBits(reply))
-			rec.w2 = w2
-			w2++
-			rt.batch.Add(rt.nodes[u], Message{Kind: MsgReply, Round: round, From: a.To, Payload: reply, SentAt: now})
 			continue
 		}
-		// A failed pull — quiescent target, lost query, refusal.
-		if rt.nodes[u].Send(Message{Kind: MsgReply, Round: round, From: a.To}) {
-			notifies++
-		}
+		rec.w2 = w2
+		w2++
+		rt.batch.Add(rt.nodes[u], Message{Kind: MsgReply, Round: round, From: a.To, Payload: reply, SentAt: now})
 	}
 	if !rt.flushWave(notifies) {
 		return
 	}
 
 	// Barrier settlement, in puller order — the simulator's order.
+	notifies = 0
 	for i := range rt.precs {
 		u := int(rt.pulls[i])
 		a := rt.actions[u]
 		rec := &rt.precs[i]
 		if rec.fate == pushSelf {
-			continue // local and free, exactly the serial path: no cost, no trace
+			continue // local and free: no cost, no trace
 		}
 		rt.tally.AddMessage(gossip.PayloadBits(a.Payload))
-		if !rec.isReply {
-			rt.tally.AddPull(false)
-			rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To, Note: rec.note})
-			continue
+		if rec.served {
+			rt.tally.AddMessage(int(rec.replyBits))
 		}
-		rt.tally.AddMessage(int(rec.replyBits))
-		if !rt.oks[rec.w2] {
-			// The transport lost the reply after the target served it:
-			// account the failure and re-notify the puller serially.
-			rt.failPull(round, u, a.To, "reply-lost")
-			continue
+		if rec.w2 >= 0 {
+			if rt.oks[rec.w2] {
+				rt.delivered++
+				rt.kinds[MsgReply]++
+				rt.tally.AddPull(true)
+				rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To})
+				continue
+			}
+			// The transport lost the reply after the target served it.
+			rec.note = "reply-lost"
+			if rt.notify(round, u, a.To) {
+				notifies++
+			}
 		}
-		rt.delivered++
-		rt.kinds[MsgReply]++
-		rt.tally.AddPull(true)
-		rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To})
+		rt.tally.AddPull(false)
+		rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To, Note: rec.note})
 	}
+	rt.bar.await(notifies)
+}
+
+// answer settles what came of u's dispatched query: the reply to carry back
+// in wave 2, or nil with rec.note saying why there is none — the transport
+// lost the query, the target refused, or the served reply is lost on the link.
+func (rt *Runtime) answer(round, u, to int, delivered bool, rec *pullRec) gossip.Payload {
+	if !delivered {
+		rec.note = "query-lost"
+		return nil
+	}
+	rt.delivered++
+	rt.kinds[MsgQuery]++
+	reply := rt.popReply(to)
+	if reply == nil {
+		rec.note = "refused"
+		return nil
+	}
+	rec.served = true
+	rec.replyBits = int32(gossip.PayloadBits(reply))
+	if rt.loss.Lost(round, to, u, gossip.LegReply) {
+		rec.note = "reply-lost"
+		return nil
+	}
+	return reply
+}
+
+// notify hands puller u the nil reply of a failed pull from target to,
+// directly — see pullWaves — and reports whether a handling is now owed.
+func (rt *Runtime) notify(round, u, to int) bool {
+	return rt.nodes[u].Send(Message{Kind: MsgReply, Round: round, From: to})
 }

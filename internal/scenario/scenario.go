@@ -206,8 +206,9 @@ type FaultModel struct {
 	// message crossing a link (push, pull query, pull reply) is lost
 	// independently with this probability, generalizing per-node quiescence
 	// to unreliable links. Senders still pay the communication cost, and a
-	// puller cannot distinguish a lost exchange from a quiescent target. The
-	// loss stream is derived from the run seed, so lossy runs reproduce.
+	// puller cannot distinguish a lost exchange from a quiescent target.
+	// Which messages are lost is a function of the run seed, so lossy runs
+	// reproduce.
 	// Must be in [0, 1); 0 disables loss. Not supported in coalition runs.
 	Drop float64
 }
