@@ -7,9 +7,11 @@ package repro_test
 // `go test -bench=.` regenerates the per-run numbers behind every table.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"repro/fairgossip"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/rational"
@@ -282,6 +284,46 @@ func benchScenarioBatch(b *testing.B, workers int, proto scenario.Protocol) {
 		}
 	}
 	b.ReportMetric(float64(fails)/float64(b.N*trialsPerBatch), "failRate")
+}
+
+// BenchmarkSimStaticStream is the repo benchmark's `sim-static` operation as
+// a gated row: 4 fault-free trials at n = 1024 streamed through one warm
+// fairgossip.Runner on the static complete graph. ScenarioRunnerBatch gates
+// n = 256 under 30% permanent faults, where a third of the agents never run;
+// this row is the shape BENCHMARK.json measures end to end, so a regression
+// of the gossip/core rung shows in CI before it shows there.
+func BenchmarkSimStaticStream(b *testing.B) {
+	b.Run("n=1024", func(b *testing.B) {
+		const n, trials = 1024, 4
+		r, err := fairgossip.NewRunner(fairgossip.Scenario{N: n, Colors: 2, Seed: 1, Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := context.Background()
+		rounds, fails := 0, 0
+		observe := func(_ int, res fairgossip.Result) {
+			rounds += res.Rounds
+			if res.Failed {
+				fails++
+			}
+		}
+		stream := func() {
+			if err := r.Stream(ctx, fairgossip.StreamOptions{Trials: trials}, observe); err != nil {
+				b.Fatal(err)
+			}
+		}
+		stream() // warm the per-worker pools outside the measurement
+		rounds = 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			stream()
+		}
+		if fails > 0 {
+			b.Fatalf("%d fault-free trials failed", fails)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds*n), "ns/node-round")
+	})
 }
 
 // BenchmarkDynamicScenarioBatch times the dynamic-topology batch path: the

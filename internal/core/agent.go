@@ -32,7 +32,8 @@ type Agent struct {
 
 	// Boxed reusable payloads: queries depend only on Params and the
 	// intention answer's slice header never moves, so steady-state rounds
-	// re-send the same interface values instead of re-boxing per round.
+	// re-send the same interface values instead of re-boxing per round, and
+	// a pooled agent re-run under the same Params keeps all three.
 	intentQ    gossip.Payload
 	certQ      gossip.Payload
 	intentsMsg gossip.Payload
@@ -67,14 +68,14 @@ type Agent struct {
 // drawing all randomness from r (which the agent takes ownership of).
 func NewAgent(id int, p Params, color Color, net topo.Topology, r *rng.Source) *Agent {
 	a := &Agent{r: r, log: NewCommitmentLog()}
-	a.init(id, p, color, net)
+	a.init(id, &p, color, net)
 	return a
 }
 
 // reset reinitializes the agent in place for a new run, reusing every buffer
 // it already owns. Reseeding with seed yields exactly the stream NewAgent
 // would draw from rng.New(seed), so pooled and fresh runs are byte-identical.
-func (a *Agent) reset(id int, p Params, color Color, net topo.Topology, seed uint64) {
+func (a *Agent) reset(id int, p *Params, color Color, net topo.Topology, seed uint64) {
 	if a.r == nil {
 		a.r = &rng.Source{}
 	}
@@ -93,48 +94,49 @@ func (a *Agent) reset(id int, p Params, color Color, net topo.Topology, seed uin
 }
 
 // init runs the round-0 local step shared by NewAgent and reset: it fixes the
-// identity fields, draws the Voting-Intention list from a.r, and (re)builds
-// the reusable payloads.
-func (a *Agent) init(id int, p Params, color Color, net topo.Topology) {
+// identity fields and draws the Voting-Intention list from a.r. Everything
+// derived from Params alone — the buffers' length, each vote payload's P and
+// Index, the three boxed payloads — is rebuilt only when Params differ from
+// the agent's previous run (always, for a new agent: valid Params are never
+// zero), so a pooled trial under unchanged Params copies no Params and boxes
+// nothing.
+func (a *Agent) init(id int, p *Params, color Color, net topo.Topology) {
 	if !color.Valid(p.NumColors) {
 		panic("core: NewAgent with color outside Σ")
 	}
 	a.id = id
-	a.p = p
 	a.color = color
 	a.net = net
+
+	if a.p != *p {
+		a.p = *p
+		if cap(a.intentions) < p.Q {
+			a.intentions = make([]Intent, p.Q)
+		}
+		if cap(a.voteMsgs) < p.Q {
+			a.voteMsgs = make([]Vote, p.Q)
+		}
+		a.intentions = a.intentions[:p.Q]
+		a.voteMsgs = a.voteMsgs[:p.Q]
+		for i := range a.voteMsgs {
+			a.voteMsgs[i] = Vote{P: *p, Index: int32(i)}
+		}
+		a.intentQ = IntentQuery{P: *p}
+		a.certQ = CertQuery{P: *p}
+		a.intentsMsg = Intentions{P: *p, Votes: a.intentions}
+		a.log.reserve(p.Q)
+	}
 
 	// Voting-Intention phase: q votes, values u.a.r. in [1, m], targets
 	// u.a.r. over the topology's sample space (all of [n] on the complete
 	// graph, exactly the paper's "u.a.r. in [n]"; the neighbor set on
 	// restricted graphs, where non-neighbors are unreachable).
-	if cap(a.intentions) < p.Q {
-		a.intentions = make([]Intent, p.Q)
-	}
-	if cap(a.voteMsgs) < p.Q {
-		a.voteMsgs = make([]Vote, p.Q)
-	}
-	a.intentions = a.intentions[:p.Q]
-	a.voteMsgs = a.voteMsgs[:p.Q]
 	for i := range a.intentions {
 		a.intentions[i] = Intent{
 			H: a.r.Uint64n(p.M) + 1,
 			Z: int32(net.SamplePeer(id, a.r)),
 		}
-		a.voteMsgs[i] = Vote{P: p, Value: a.intentions[i].H, Index: int32(i)}
-	}
-
-	// Re-box the reusable payloads only when their contents actually moved;
-	// in steady-state pooled reuse all three survive from the previous run.
-	if q, ok := a.intentQ.(IntentQuery); !ok || q.P != p {
-		a.intentQ = IntentQuery{P: p}
-	}
-	if q, ok := a.certQ.(CertQuery); !ok || q.P != p {
-		a.certQ = CertQuery{P: p}
-	}
-	if m, ok := a.intentsMsg.(Intentions); !ok || m.P != p ||
-		len(m.Votes) != len(a.intentions) || &m.Votes[0] != &a.intentions[0] {
-		a.intentsMsg = Intentions{P: p, Votes: a.intentions}
+		a.voteMsgs[i].Value = a.intentions[i].H
 	}
 }
 
@@ -183,7 +185,7 @@ func (a *Agent) Log() *CommitmentLog { return a.log }
 
 // Act implements the per-round schedule of Algorithm 1.
 func (a *Agent) Act(round int) gossip.Action {
-	switch a.p.PhaseOf(round) {
+	switch a.p.phaseOf(round) {
 	case PhaseCommitment:
 		return gossip.PullFrom(a.net.SamplePeer(a.id, a.r), a.intentQ)
 
@@ -247,17 +249,19 @@ func (a *Agent) finalizeOwnCertificate() {
 // anything outside the expected phase/type is ignored (a deviator cannot make
 // an honest agent act out of protocol).
 func (a *Agent) HandlePush(round, from int, p gossip.Payload) {
-	switch a.p.PhaseOf(round) {
+	switch a.p.phaseOf(round) {
 	case PhaseVoting:
-		var v Vote
+		// Honest votes arrive as *Vote and are read in place: only Value and
+		// Index matter here, and copying the payload would copy its Params.
+		var v *Vote
 		switch m := p.(type) {
-		case Vote:
-			v = m
 		case *Vote:
 			if m == nil {
 				return
 			}
-			v = *m
+			v = m
+		case Vote:
+			v = &m
 		default:
 			return
 		}
@@ -303,7 +307,7 @@ func (a *Agent) HandlePush(round, from int, p gossip.Payload) {
 // intention list during Commitment, the (start-of-round) minimal certificate
 // during Find-Min and Coherence, silence otherwise.
 func (a *Agent) HandlePull(round, from int, query gossip.Payload) gossip.Payload {
-	switch a.p.PhaseOf(round) {
+	switch a.p.phaseOf(round) {
 	case PhaseCommitment:
 		return a.intentsMsg
 	case PhaseFindMin, PhaseCoherence:
@@ -321,14 +325,14 @@ func (a *Agent) HandlePull(round, from int, query gossip.Payload) gossip.Payload
 
 // HandlePullReply consumes the answer to this agent's own pull.
 func (a *Agent) HandlePullReply(round, from int, reply gossip.Payload) {
-	switch a.p.PhaseOf(round) {
+	switch a.p.phaseOf(round) {
 	case PhaseCommitment:
 		if reply == nil {
 			a.log.MarkFaulty(int32(from))
 			return
 		}
-		in, ok := reply.(Intentions)
-		if !ok || !a.validDeclaration(in.Votes) {
+		votes, ok := declaredVotes(reply)
+		if !ok || !validDeclarationFor(&a.p, votes) {
 			// "Replies in an unexpected way" — marked faulty (footnote 4).
 			// A declaration is well-formed only if it has exactly q votes
 			// with values in [1, m] and in-range targets: Hᵤ has exactly
@@ -338,7 +342,7 @@ func (a *Agent) HandlePullReply(round, from int, reply gossip.Payload) {
 			a.log.MarkFaulty(int32(from))
 			return
 		}
-		a.log.Record(int32(from), in.Votes)
+		a.log.Record(int32(from), votes)
 
 	case PhaseFindMin:
 		cert, ok := reply.(*Certificate)
@@ -353,13 +357,21 @@ func (a *Agent) HandlePullReply(round, from int, reply gossip.Payload) {
 	}
 }
 
-// validDeclaration reports whether a pulled intention list has the exact
-// shape the protocol prescribes (q votes, values in [1, m], targets in [n]).
-func (a *Agent) validDeclaration(votes []Intent) bool {
-	return validDeclarationFor(a.p, votes)
+// declaredVotes returns the intention list a Commitment-phase reply carries,
+// and whether the reply was an Intentions payload at all. Intentions travels
+// as a value, so reading it out of the interface copies it; the switch form
+// copies once where a comma-ok assertion copies twice.
+func declaredVotes(reply gossip.Payload) ([]Intent, bool) {
+	switch m := reply.(type) {
+	case Intentions:
+		return m.Votes, true
+	}
+	return nil, false
 }
 
-func validDeclarationFor(p Params, votes []Intent) bool {
+// validDeclarationFor reports whether a pulled intention list has the exact
+// shape the protocol prescribes (q votes, values in [1, m], targets in [n]).
+func validDeclarationFor(p *Params, votes []Intent) bool {
 	if len(votes) != p.Q {
 		return false
 	}
@@ -381,7 +393,7 @@ func (a *Agent) verify() {
 		a.out = ColorBot
 		return
 	}
-	if err := verifyCertificate(a.p, a.minCert, a.log, &a.vscratch); err != nil {
+	if err := verifyCertificate(&a.p, a.minCert, a.log, &a.vscratch); err != nil {
 		a.failNow()
 		a.out = ColorBot
 		return

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/gossip"
 	"repro/internal/rng"
 	"repro/internal/topo"
 )
@@ -106,4 +107,81 @@ func TestPooledRunSteadyStateAllocs(t *testing.T) {
 	if allocs > budget {
 		t.Fatalf("pooled steady-state run allocates %v objects, budget %d", allocs, budget)
 	}
+}
+
+// TestAgentReinitSameParamsBoxesNothing pins the pooled-agent shortcut and
+// its guard from the inside: a re-init under unchanged Params allocates
+// nothing and leaves every Params-derived payload in step with the new
+// intentions, and a re-init under different Params rebuilds all of them.
+func TestAgentReinitSameParamsBoxesNothing(t *testing.T) {
+	p := MustParams(64, 2, 2)
+	net := topo.NewComplete(p.N)
+	a := NewAgent(0, p, 0, net, rng.New(1))
+	seed := uint64(2)
+	if allocs := testing.AllocsPerRun(100, func() {
+		a.reset(0, &p, 1, net, seed)
+		seed++
+	}); allocs != 0 {
+		t.Fatalf("same-Params re-init allocates %v objects, want 0", allocs)
+	}
+	check := func(p Params) {
+		t.Helper()
+		if a.Params() != p || len(a.intentions) != p.Q || len(a.voteMsgs) != p.Q {
+			t.Fatalf("agent holds %v with %d intentions, %d vote buffers; want %v", a.Params(), len(a.intentions), len(a.voteMsgs), p)
+		}
+		for i, v := range a.voteMsgs {
+			if want := (Vote{P: p, Value: a.intentions[i].H, Index: int32(i)}); v != want {
+				t.Fatalf("vote buffer %d = %+v, want %+v", i, v, want)
+			}
+		}
+		in, ok := a.intentsMsg.(Intentions)
+		if !ok || in.P != p || len(in.Votes) != p.Q || &in.Votes[0] != &a.intentions[0] {
+			t.Fatalf("boxed intention answer out of step with the agent's list")
+		}
+		if a.intentQ != (IntentQuery{P: p}) || a.certQ != (CertQuery{P: p}) {
+			t.Fatalf("boxed queries carry stale Params")
+		}
+	}
+	check(p)
+	rt, err := p.WithProtocol(Protocol{Variant: ProtocolRetransmit}) // same q, other variant
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, next := range []Params{rt, p, MustParams(32, 2, 1), MustParams(64, 2, 3), p} {
+		a.reset(0, &next, 1, net, seed)
+		check(next)
+	}
+}
+
+// TestAsyncAgentActivationAllocFree pins the sequential-model agent to the
+// sync agent's payload discipline: queries, votes and the intention answer
+// are built once at construction, so no activation and no answered pull
+// allocates.
+func TestAsyncAgentActivationAllocFree(t *testing.T) {
+	p := MustParams(64, 2, 40) // q = 240: every phase outlasts AllocsPerRun's 101 calls
+	net := topo.NewComplete(p.N)
+	a := NewAsyncAgent(0, p, 0, net, rng.New(1))
+	var intentQ, certQ gossip.Payload = IntentQuery{P: p}, CertQuery{P: p}
+	pin := func(phase asyncPhase, f func()) {
+		t.Helper()
+		for a.localPhase() != phase {
+			a.Act(0)
+		}
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Fatalf("phase %d: %v allocations per activation, want 0", phase, allocs)
+		}
+		if a.localPhase() != phase {
+			t.Fatalf("phase %d ended inside the measurement", phase)
+		}
+	}
+	pin(asyncCommitment, func() {
+		a.Act(0)
+		a.HandlePull(0, 1, intentQ)
+	})
+	pin(asyncVoting, func() { a.Act(0) })
+	pin(asyncFindMin, func() {
+		a.Act(0)
+		a.HandlePull(0, 1, certQ)
+	})
+	pin(asyncCoherence, func() { a.Act(0) })
 }

@@ -56,6 +56,15 @@ type AsyncAgent struct {
 	ownCert     *Certificate
 	minCert     *Certificate
 
+	// The sync agent's payload discipline (see Agent): voteMsgs[i] is the
+	// preallocated payload for intentions[i], pushed by pointer, and the
+	// queries and the intention answer are boxed once at construction, so an
+	// activation allocates nothing.
+	voteMsgs   []Vote
+	intentQ    gossip.Payload
+	certQ      gossip.Payload
+	intentsMsg gossip.Payload
+
 	failed  bool
 	decided bool
 	out     Color
@@ -68,9 +77,15 @@ func NewAsyncAgent(id int, p Params, color Color, net topo.Topology, r *rng.Sour
 	}
 	a := &AsyncAgent{id: id, p: p, color: color, r: r, net: net, log: NewCommitmentLog()}
 	a.intentions = make([]Intent, p.Q)
+	a.voteMsgs = make([]Vote, p.Q)
 	for i := range a.intentions {
 		a.intentions[i] = Intent{H: r.Uint64n(p.M) + 1, Z: int32(net.SamplePeer(id, r))}
+		a.voteMsgs[i] = Vote{P: p, Value: a.intentions[i].H}
 	}
+	a.intentQ = IntentQuery{P: p}
+	a.certQ = CertQuery{P: p}
+	a.intentsMsg = Intentions{P: p, Votes: a.intentions}
+	a.log.reserve(p.Q)
 	return a
 }
 
@@ -124,15 +139,15 @@ func (a *AsyncAgent) Act(tick int) gossip.Action {
 	a.activations++
 	switch ph {
 	case asyncCommitment:
-		return gossip.PullFrom(a.net.SamplePeer(a.id, a.r), IntentQuery{P: a.p})
+		return gossip.PullFrom(a.net.SamplePeer(a.id, a.r), a.intentQ)
 	case asyncVoting:
-		in := a.intentions[step-a.p.Q]
-		return gossip.PushTo(int(in.Z), Vote{P: a.p, Value: in.H})
+		i := step - a.p.Q
+		return gossip.PushTo(int(a.intentions[i].Z), &a.voteMsgs[i])
 	case asyncSettle:
 		return gossip.NoAction() // let in-flight phases drain
 	case asyncFindMin:
 		a.ensureCert()
-		return gossip.PullFrom(a.net.SamplePeer(a.id, a.r), CertQuery{P: a.p})
+		return gossip.PullFrom(a.net.SamplePeer(a.id, a.r), a.certQ)
 	case asyncCoherence:
 		a.ensureCert()
 		return gossip.PushTo(a.net.SamplePeer(a.id, a.r), a.minCert)
@@ -162,13 +177,13 @@ func (a *AsyncAgent) ensureCert() {
 
 // HandlePush accepts votes until finalization and checks coherence after it.
 func (a *AsyncAgent) HandlePush(tick, from int, p gossip.Payload) {
-	if v, ok := p.(*Vote); ok && v != nil {
-		a.handleVote(from, *v)
-		return
-	}
 	switch m := p.(type) {
+	case *Vote:
+		if m != nil {
+			a.handleVote(from, m.Value)
+		}
 	case Vote:
-		a.handleVote(from, m)
+		a.handleVote(from, m.Value)
 	case *Certificate:
 		if a.activations < 6*a.p.Q {
 			// The pusher is ahead of this agent (phases overlap under local
@@ -186,24 +201,24 @@ func (a *AsyncAgent) HandlePush(tick, from int, p gossip.Payload) {
 	}
 }
 
-func (a *AsyncAgent) handleVote(from int, m Vote) {
+func (a *AsyncAgent) handleVote(from int, value uint64) {
 	if a.ownCert != nil {
 		return // too late; the boundary effect E10 measures
 	}
-	if m.Value == 0 || m.Value > a.p.M {
+	if value == 0 || value > a.p.M {
 		return
 	}
 	if a.log.Faulty(int32(from)) {
 		return
 	}
-	a.w = append(a.w, WEntry{Voter: int32(from), Value: m.Value})
+	a.w = append(a.w, WEntry{Voter: int32(from), Value: value})
 }
 
 // HandlePull answers by query type (phases cannot be trusted to align).
 func (a *AsyncAgent) HandlePull(tick, from int, query gossip.Payload) gossip.Payload {
 	switch query.(type) {
 	case IntentQuery:
-		return Intentions{P: a.p, Votes: a.intentions}
+		return a.intentsMsg
 	case CertQuery:
 		if a.minCert != nil {
 			return a.minCert
@@ -226,8 +241,8 @@ func (a *AsyncAgent) HandlePullReply(tick, from int, reply gossip.Payload) {
 			}
 			return
 		}
-		if in, ok := reply.(Intentions); ok && validDeclarationFor(a.p, in.Votes) {
-			a.log.Record(int32(from), in.Votes)
+		if votes, ok := declaredVotes(reply); ok && validDeclarationFor(&a.p, votes) {
+			a.log.Record(int32(from), votes)
 		}
 	case asyncFindMin, asyncCoherence:
 		cert, ok := reply.(*Certificate)
@@ -246,7 +261,7 @@ func (a *AsyncAgent) verify() {
 		a.out = ColorBot
 		return
 	}
-	if err := VerifyCertificate(a.p, a.minCert, a.log); err != nil {
+	if err := verifyCertificate(&a.p, a.minCert, a.log, &verifyScratch{}); err != nil {
 		a.failed = true
 		a.out = ColorBot
 		return

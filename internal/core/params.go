@@ -101,6 +101,16 @@ type Protocol struct {
 }
 
 // Params fixes one protocol instance. Build with NewParams.
+//
+// Params is a comparable value of 14 words (112 bytes on 64-bit). It travels
+// by value at API boundaries (NewParams, RunConfig, NewAgent) and inside
+// payloads, where a copy per run or per agent is free and value semantics
+// keep published payloads immutable. Anything called per message reads it
+// through a pointer instead — the agents' &a.p, the unexported
+// pointer-receiver lookups below, validDeclarationFor, verifyCertificate —
+// because at O(1) messages per node-round a by-value receiver or argument is
+// a 112-byte copy per message, and the per-message work is little more than
+// that.
 type Params struct {
 	N         int      // number of nodes (active + faulty)
 	NumColors int      // |Σ|; colors are 0..NumColors-1
@@ -201,7 +211,7 @@ func (p Params) WithProtocol(proto Protocol) (Params, error) {
 
 // votingPasses is how many times the Voting phase repeats its q-round
 // push schedule: 1 everywhere except under ProtocolRetransmit.
-func (p Params) votingPasses() int {
+func (p *Params) votingPasses() int {
 	if p.Proto.Variant == ProtocolRetransmit && p.Proto.Passes > 1 {
 		return p.Proto.Passes
 	}
@@ -246,7 +256,11 @@ func (ph Phase) String() string {
 // PhaseOf maps a global round number to its phase. All agents know n, γ and
 // the protocol variant, so the schedule is common knowledge and phases stay
 // aligned — including the retransmit variant's longer Voting phase.
-func (p Params) PhaseOf(round int) Phase {
+func (p Params) PhaseOf(round int) Phase { return p.phaseOf(round) }
+
+// phaseOf is PhaseOf through a pointer: the form the agents call on every
+// message (see Params for the passing convention).
+func (p *Params) phaseOf(round int) Phase {
 	voting := p.votingPasses() * p.Q
 	switch {
 	case round < p.Q:
@@ -265,4 +279,4 @@ func (p Params) PhaseOf(round int) Phase {
 // votingSlot maps a Voting-phase round to the intention index pushed that
 // round: pass p of the (possibly repeated) schedule pushes vote i at round
 // q + p·q + i, so the slot is simply the position within the current pass.
-func (p Params) votingSlot(round int) int { return (round - p.Q) % p.Q }
+func (p *Params) votingSlot(round int) int { return (round - p.Q) % p.Q }

@@ -156,7 +156,7 @@ func PrepareRun(cfg RunConfig) (*RunSetup, error) {
 			return nil, fmt.Errorf("core: node %d has color %d outside Σ", i, cfg.Colors[i])
 		}
 		a := &pl.store[i]
-		a.reset(i, p, cfg.Colors[i], net, pl.master.SplitSeed(uint64(i)))
+		a.reset(i, &p, cfg.Colors[i], net, pl.master.SplitSeed(uint64(i)))
 		pl.gagents[i] = a
 		pl.parts[i] = a
 		pl.honest = append(pl.honest, a)

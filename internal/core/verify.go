@@ -13,24 +13,40 @@ import (
 // The first declaration received from a peer is binding — subsequent
 // declarations (which only a deviating peer would vary) are ignored, mirroring
 // the h* definition in the proof of Theorem 7.
+//
+// An agent pulls once per Commitment round, so a log never holds more than q
+// verdicts (≈ 30 at n = 1024: two cache lines of voter ids). That bound is
+// why the log is three flat vectors searched linearly rather than maps: at
+// this size a scan beats hashing on every lookup, and Reset is a truncation.
+// Everything that iterates the log walks it in arrival order; no result may
+// depend on that order (TestVerifyCertificateOrderIndependent).
 type CommitmentLog struct {
-	declared map[int32][]Intent
-	faulty   map[int32]bool
+	voters   []int32    // peers with a binding declaration, in arrival order
+	declared [][]Intent // declared[i] is the list voters[i] declared
+	faulty   []int32    // peers marked faulty, in arrival order; disjoint from voters
 }
 
 // NewCommitmentLog returns an empty log.
-func NewCommitmentLog() *CommitmentLog {
-	return &CommitmentLog{
-		declared: make(map[int32][]Intent),
-		faulty:   make(map[int32]bool),
+func NewCommitmentLog() *CommitmentLog { return &CommitmentLog{} }
+
+// reserve sizes an empty log's vectors for the q verdicts one run can produce,
+// so a new agent's log grows once, at construction, not by doubling mid-run.
+func (l *CommitmentLog) reserve(q int) {
+	if cap(l.voters) < q {
+		l.voters = make([]int32, 0, q)
+		l.declared = make([][]Intent, 0, q)
+		l.faulty = make([]int32, 0, q)
 	}
 }
 
-// Reset empties the log in place, keeping the map storage so pooled agents
-// can reuse it across runs without reallocating.
+// Reset empties the log in place, keeping the vectors' capacity so pooled
+// agents reuse it across runs, and dropping the recorded intention lists so
+// the log does not keep the previous run's memory reachable.
 func (l *CommitmentLog) Reset() {
 	clear(l.declared)
-	clear(l.faulty)
+	l.voters = l.voters[:0]
+	l.declared = l.declared[:0]
+	l.faulty = l.faulty[:0]
 }
 
 // Record stores voter's declared intentions if this is the first information
@@ -44,7 +60,8 @@ func (l *CommitmentLog) Record(voter int32, intents []Intent) bool {
 	if l.Known(voter) {
 		return false
 	}
-	l.declared[voter] = intents
+	l.voters = append(l.voters, voter)
+	l.declared = append(l.declared, intents)
 	return true
 }
 
@@ -54,45 +71,53 @@ func (l *CommitmentLog) MarkFaulty(voter int32) {
 	if l.Known(voter) {
 		return
 	}
-	l.faulty[voter] = true
+	l.faulty = append(l.faulty, voter)
+}
+
+// lookup returns voter's binding intention list and whether the log holds
+// any verdict about voter. A faulty-marked voter is known and committed to
+// nothing, so its list is nil.
+func (l *CommitmentLog) lookup(voter int32) ([]Intent, bool) {
+	if intents, ok := l.Declared(voter); ok {
+		return intents, true
+	}
+	return nil, l.Faulty(voter)
 }
 
 // Known reports whether the log holds any verdict (declaration or faulty
 // mark) about voter.
 func (l *CommitmentLog) Known(voter int32) bool {
-	if _, ok := l.declared[voter]; ok {
-		return true
-	}
-	return l.faulty[voter]
+	_, known := l.lookup(voter)
+	return known
 }
 
 // Faulty reports whether voter was marked faulty.
-func (l *CommitmentLog) Faulty(voter int32) bool { return l.faulty[voter] }
+func (l *CommitmentLog) Faulty(voter int32) bool { return slices.Contains(l.faulty, voter) }
 
 // Declared returns voter's recorded intention list and whether one exists.
 func (l *CommitmentLog) Declared(voter int32) ([]Intent, bool) {
-	in, ok := l.declared[voter]
-	return in, ok
+	if i := slices.Index(l.voters, voter); i >= 0 {
+		return l.declared[i], true
+	}
+	return nil, false
 }
 
 // Size returns the number of peers the log has information about.
-func (l *CommitmentLog) Size() int { return len(l.declared) + len(l.faulty) }
+func (l *CommitmentLog) Size() int { return len(l.voters) + len(l.faulty) }
 
 // ExpectedVotesFor returns the multiset (sorted) of values voter committed
 // to push to target. A faulty-marked voter commits to nothing.
 func (l *CommitmentLog) ExpectedVotesFor(voter, target int32) []uint64 {
-	return l.appendExpectedVotesFor(voter, target, nil)
+	intents, _ := l.Declared(voter)
+	return appendVotesFor(nil, intents, target)
 }
 
-// appendExpectedVotesFor appends voter's committed values for target to buf
-// (sorted), reusing buf's capacity — the allocation-free form VerifyCertificate
-// runs in a loop.
-func (l *CommitmentLog) appendExpectedVotesFor(voter, target int32, buf []uint64) []uint64 {
-	if l.faulty[voter] {
-		return buf
-	}
+// appendVotesFor appends the values intents commits to push to target to buf
+// (sorted), reusing buf's capacity — the allocation-free form
+// verifyCertificate runs in a loop.
+func appendVotesFor(buf []uint64, intents []Intent, target int32) []uint64 {
 	start := len(buf)
-	for _, in := range l.declared[voter] {
+	for _, in := range intents {
 		if in.Z == target {
 			buf = append(buf, in.H)
 		}
@@ -101,20 +126,26 @@ func (l *CommitmentLog) appendExpectedVotesFor(voter, target int32, buf []uint64
 	return buf
 }
 
-// appendDeclaredValues appends the sorted multiset of every value voter
-// declared, regardless of target — the expectation live-retarget verification
-// checks against, where targets are advisory but values stay binding. A
-// faulty-marked voter commits to nothing.
-func (l *CommitmentLog) appendDeclaredValues(voter int32, buf []uint64) []uint64 {
-	if l.faulty[voter] {
-		return buf
-	}
+// appendValues appends the sorted multiset of every value in intents,
+// regardless of target — the expectation live-retarget verification checks
+// against, where targets are advisory but values stay binding.
+func appendValues(buf []uint64, intents []Intent) []uint64 {
 	start := len(buf)
-	for _, in := range l.declared[voter] {
+	for _, in := range intents {
 		buf = append(buf, in.H)
 	}
 	slices.Sort(buf[start:])
 	return buf
+}
+
+// commitsTo reports whether intents holds a vote for target.
+func commitsTo(intents []Intent, target int32) bool {
+	for _, in := range intents {
+		if in.Z == target {
+			return true
+		}
+	}
+	return false
 }
 
 // The common rejection reasons are pre-declared sentinels rather than
@@ -175,7 +206,7 @@ var (
 // A nil error means the verifier supports cert.Color; any error means the
 // verifier makes the protocol fail.
 func VerifyCertificate(p Params, cert *Certificate, log *CommitmentLog) error {
-	return verifyCertificate(p, cert, log, &verifyScratch{})
+	return verifyCertificate(&p, cert, log, &verifyScratch{})
 }
 
 // verifyScratch holds the two buffers verification needs, so pooled agents
@@ -185,7 +216,7 @@ type verifyScratch struct {
 	exp []uint64
 }
 
-func verifyCertificate(p Params, cert *Certificate, log *CommitmentLog, sc *verifyScratch) error {
+func verifyCertificate(p *Params, cert *Certificate, log *CommitmentLog, sc *verifyScratch) error {
 	if cert == nil {
 		return ErrNoCertificate
 	}
@@ -214,8 +245,7 @@ func verifyCertificate(p Params, cert *Certificate, log *CommitmentLog, sc *veri
 	// runs. The sorted copy and the expectation buffer both come from the
 	// caller's scratch, so a pooled verifier allocates nothing here.
 	// ProtocolRelaxed tallies violating voters instead of rejecting on the
-	// first one; the count is order-independent, so the map iteration below
-	// stays deterministic in outcome.
+	// first one; the count does not depend on the order voters are visited in.
 	retarget := p.Proto.Variant == ProtocolLiveRetarget
 	relaxed := p.Proto.Variant == ProtocolRelaxed
 	violations := 0
@@ -228,15 +258,15 @@ func verifyCertificate(p Params, cert *Certificate, log *CommitmentLog, sc *veri
 		for j < len(w) && w[j].Voter == voter {
 			j++
 		}
-		if log.Known(voter) {
+		if intents, known := log.lookup(voter); known {
 			// Run values are ascending (sortWEntries orders by value within a
 			// voter), matching the sorted expectation list.
 			var ok bool
 			if retarget {
-				sc.exp = log.appendDeclaredValues(voter, sc.exp[:0])
+				sc.exp = appendValues(sc.exp[:0], intents)
 				ok = runSubsetSorted(w[i:j], sc.exp)
 			} else {
-				sc.exp = log.appendExpectedVotesFor(voter, cert.Owner, sc.exp[:0])
+				sc.exp = appendVotesFor(sc.exp[:0], intents, cert.Owner)
 				ok = runEqualsSorted(w[i:j], sc.exp)
 			}
 			if !ok {
@@ -252,11 +282,9 @@ func verifyCertificate(p Params, cert *Certificate, log *CommitmentLog, sc *veri
 	// committed no votes for the owner. Live-retarget skips this direction:
 	// with advisory targets, an absent vote may have landed at another peer.
 	if !retarget {
-		for voter := range log.declared {
-			if hasVoter(w, voter) {
-				continue // already checked above
-			}
-			if sc.exp = log.appendExpectedVotesFor(voter, cert.Owner, sc.exp[:0]); len(sc.exp) > 0 {
+		for i, voter := range log.voters {
+			// A voter present in W was already checked above.
+			if commitsTo(log.declared[i], cert.Owner) && !hasVoter(w, voter) {
 				if !relaxed {
 					return ErrMissingVotes
 				}
