@@ -62,7 +62,7 @@ func main() {
 		coalition    = flag.Int("coalition", 0, "coalition size when -deviation is set")
 		list         = flag.Bool("list-deviations", false, "print the deviation library and exit")
 		traceRun     = flag.Bool("trace", false, "print every engine event (use with small -n)")
-		runtimeRun   = flag.Bool("runtime", false, "execute on the goroutine-per-node message-passing runtime and report wall-clock + latency")
+		runtimeRun   = flag.Bool("runtime", false, "execute on the message-passing runtime (a mailbox per node, GOMAXPROCS host goroutines) and report wall-clock + latency")
 		jitter       = flag.Duration("jitter", 0, "with -runtime: per-message transport delay ceiling (e.g. 200us)")
 		tdrop        = flag.Float64("transport-drop", 0, "with -runtime: transport-level per-message loss rate in [0, 1)")
 		transport    = flag.String("transport", "channel", "with -runtime: conduit messages cross (channel|unix|tcp)")

@@ -64,8 +64,9 @@
 // the LOCAL-model election, HP polling, and naive ablation comparators.
 //
 // Runtime layer. internal/runtime is the message-passing counterpart of the
-// engine layer: one goroutine per node, each draining a typed bounded
-// mailbox (backpressure by blocking send), with deliveries crossing a
+// engine layer: every node has a typed bounded mailbox (backpressure by
+// blocking send), GOMAXPROCS host goroutines each drain the mailboxes of one
+// contiguous range of nodes from a single queue, and deliveries cross a
 // pluggable Conduit — the deterministic in-process channel transport, or a
 // fault-injecting wrapper adding seed-derived per-message drop and latency
 // jitter below the protocol's own fault model. A round-barrier coordinator
@@ -80,11 +81,11 @@
 // wall-clock convergence and streaming per-message latency quantiles
 // (metrics.Live, stats.QuantileSketch) — surfaced publicly as
 // fairgossip.RunLive, `fairconsensus -runtime`, and the E15 table. The
-// coordinator and its nodes meet at a lock-free barrier (node-owned result
-// slots and one atomic completion counter; no channel is shared between
-// nodes), which holds the price of real message passing to 4–5× the
-// simulator's wall-clock: E15 reads 4.2× at n=1024 and 4.9× at n=4096
-// (medians of 10 trials on a 2-core host).
+// coordinator and the hosts meet at a lock-free barrier (node-owned result
+// slots and one atomic completion counter a host bumps once per drained
+// batch; nothing is shared between hosts), which holds the price of real
+// message passing to about 2× the simulator's wall-clock: E15 reads 2.0× at
+// n=1024 and at n=4096 (medians of 10 trials on a 2-core host).
 //
 // Scenario layer. internal/scenario is the execution home of the
 // declarative front door fairgossip re-exports: the Scenario struct, the

@@ -95,8 +95,9 @@
 // coordinating loop applies the GOSSIP delivery semantics to plain agent
 // state, which is what makes million-trial Monte-Carlo batches cheap.
 // RunLive executes the same scenario on a message-passing runtime instead:
-// every agent runs on its own goroutine with a bounded mailbox, and every
-// push, vote, query, and reply crosses an in-process transport. The two
+// every agent is a node with a bounded mailbox, a few host goroutines each
+// serve a contiguous range of nodes, and every push, vote, query, and reply
+// crosses an in-process transport. The two
 // engines are transcript-equivalent — under RunLive's default options the
 // runtime replays the simulator's execution event for event, so
 // LiveReport.Result is identical to RunSeed's for the same seed and findings
@@ -104,10 +105,10 @@
 // simulator only counts: wall-clock convergence time, per-message delivery
 // latency quantiles (p50/p99/max), and optional transport-level fault
 // injection (seed-deterministic per-message drop and latency jitter) below
-// the protocol's own fault model. That layer costs 4–5× the simulator's
-// wall-clock over the channel transport (experiment table E15: 4.2× at
-// n=1024, 4.9× at n=4096, medians of 10 runs on a 2-core host) and about
-// 2.5× more over a socket (E16). Use the simulator for statistics, RunLive
+// the protocol's own fault model. That layer costs about 2× the simulator's
+// wall-clock over the channel transport (experiment table E15: 2.0× at
+// n=1024 and at n=4096, medians of 10 runs on a 2-core host) and about
+// 5.5× more over a socket (E16). Use the simulator for statistics, RunLive
 // for measurements; see ExampleScenario_runtime.
 //
 // The transport itself is a ladder, climbed one rung at a time without

@@ -156,9 +156,9 @@ func ExampleScenario_protocol() {
 	// wire form mentions "relaxed": true
 }
 
-// The runtime: RunLive executes the same scenario on the goroutine-per-node
-// message-passing runtime — every agent its own goroutine, every message a
-// real delivery — and returns the identical Result plus the physical-layer
+// The runtime: RunLive executes the same scenario on the message-passing
+// runtime — every agent a node with its own mailbox, every message a real
+// delivery — and returns the identical Result plus the physical-layer
 // observables (wall-clock, per-message latency) a simulated run cannot
 // measure. The example prints only the deterministic fields; wall-clock and
 // latency vary run to run.

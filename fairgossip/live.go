@@ -33,8 +33,9 @@ type LiveOptions struct {
 	// spreading the latency distribution; 0 keeps the in-process transport's
 	// native latency.
 	Jitter time.Duration
-	// Mailbox is the per-node inbox capacity (backpressure bound); 0 picks
-	// the runtime default.
+	// Mailbox is the per-node mailbox capacity: a host goroutine's queue
+	// accepts Mailbox unhandled messages per node it serves before sends to it
+	// block (backpressure bound); 0 picks the runtime default.
 	Mailbox int
 }
 
@@ -56,15 +57,15 @@ type LiveReport struct {
 	LatencyP50, LatencyP99, LatencyMax time.Duration
 }
 
-// RunLive executes the scenario once on the goroutine-per-node
-// message-passing runtime instead of the simulator: every agent runs on its
-// own goroutine with a bounded mailbox, and every message crosses the
-// selected transport — an in-process channel by default, a real loopback
-// socket with LiveOptions.Transport. With zero options the execution is
-// transcript-equivalent to the simulator — same outcome, rounds, and
-// communication metrics for the same seed — so findings transfer between
-// the two engines; the report adds the wall-clock and latency measurements
-// the simulator cannot make.
+// RunLive executes the scenario once on the message-passing runtime instead
+// of the simulator: every agent is a node with a bounded mailbox, a few host
+// goroutines (GOMAXPROCS of them) each serve a contiguous range of nodes, and
+// every message crosses the selected transport — an in-process handoff by
+// default, a real loopback socket with LiveOptions.Transport. With zero
+// options the execution is transcript-equivalent to the simulator — same
+// outcome, rounds, and communication metrics for the same seed — so findings
+// transfer between the two engines; the report adds the wall-clock and
+// latency measurements the simulator cannot make.
 //
 // RunLive requires a cooperative synchronous scenario: the async scheduler
 // and coalition scenarios return an error wrapping ErrInvalidScenario.
@@ -106,7 +107,13 @@ func (r *Runner) RunLive(ctx context.Context, opts LiveOptions) (LiveReport, err
 	if opts.TransportDrop > 0 || opts.Jitter > 0 {
 		conduit = runtime.NewFaultConduit(conduit, seed, opts.TransportDrop, opts.Jitter)
 	}
-	res, live, err := runtime.Execute(ctx, r.inner.RunConfig(seed), runtime.Options{
+	// The run borrows pooled agents from the runner's free list. Execute has
+	// shut the runtime down by the time it returns — no host is left to touch
+	// them — and the report below copies only plain values out of res.
+	cfg := r.inner.RunConfig(seed)
+	cfg.Pool = r.inner.BorrowPool()
+	defer r.inner.ReturnPool(cfg.Pool)
+	res, live, err := runtime.Execute(ctx, cfg, runtime.Options{
 		Conduit: conduit,
 		Mailbox: opts.Mailbox,
 	})

@@ -3,6 +3,7 @@ package fairgossip_test
 import (
 	"context"
 	"errors"
+	stdruntime "runtime"
 	"testing"
 	"time"
 
@@ -126,5 +127,30 @@ func TestRunLiveFaultTransport(t *testing.T) {
 	}
 	if a.LatencyP50 < 5*time.Microsecond {
 		t.Fatalf("median latency %v under 50µs jitter", a.LatencyP50)
+	}
+}
+
+// TestRunLivePooledAllocs pins that RunLive borrows the runner's pooled
+// agents instead of building n fresh ones per call: once a first run has
+// warmed the pool, a run at n=1024 allocates the runtime's own slabs and
+// queues and little else — under 2 MB, where rebuilding the agents cost close
+// to 10 MB.
+func TestRunLivePooledAllocs(t *testing.T) {
+	r := fairgossip.MustRunner(fairgossip.Scenario{N: 1024, Seed: 5})
+	run := func() {
+		if _, err := r.RunLive(context.Background(), fairgossip.LiveOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the pool
+	var before, after stdruntime.MemStats
+	const runs = 3
+	stdruntime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	stdruntime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 2<<20 {
+		t.Fatalf("warmed RunLive at n=1024 allocates %d bytes per run, want at most 2 MiB", perOp)
 	}
 }

@@ -84,7 +84,7 @@ func startDynamics(net topo.Topology, seed uint64) {
 // RunSetup is a prepared cooperative execution: agents built and seeded,
 // dynamics started, counters reset — everything a scheduler needs to drive
 // the rounds, plus the pieces to assemble the RunResult afterwards. The
-// in-process engine (Run) and the goroutine-per-node message-passing runtime
+// in-process engine (Run) and the message-passing runtime
 // (internal/runtime) both execute off one PrepareRun, which is what makes
 // their executions comparable seed for seed: the agents, their RNG streams,
 // and the loss key are bit-identical regardless of which scheduler delivers

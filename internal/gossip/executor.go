@@ -200,7 +200,7 @@ func (x *executor) emit(ev trace.Event) {
 
 // PayloadBits returns the accounted wire size of a payload: SizeBits for a
 // real payload, 0 for nil. Every delivery layer (the executor here, the
-// goroutine-per-node runtime) must account message sizes through this one
+// message-passing runtime) must account message sizes through this one
 // helper so communication metrics agree across schedulers.
 func PayloadBits(p Payload) int {
 	if p == nil {

@@ -25,7 +25,7 @@ const lossKeyIndex = 0x10557a6e
 // pure function of a per-run key and the crossing's identity, not a draw from
 // a stream. It therefore does not matter when, in what order, or how often a
 // crossing is asked about — which is what lets every delivery layer (the
-// executor, the goroutine-per-node runtime's pipelined waves, a
+// executor, the message-passing runtime's pipelined waves, a
 // fault-injecting transport) decide loss independently and still agree. The
 // zero value never loses anything.
 type Loss struct {

@@ -32,7 +32,7 @@ import (
 // depend on which caller asked first.
 //
 // A Conduit that holds transport resources may additionally implement
-// io.Closer; Runtime.Shutdown closes it after every node goroutine has
+// io.Closer; Runtime.Shutdown closes it after every host goroutine has
 // exited.
 type Conduit interface {
 	Deliver(dst *Node, m Message) bool

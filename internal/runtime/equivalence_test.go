@@ -48,7 +48,7 @@ func simRun(t *testing.T, name string, seed uint64, workers int) (core.RunResult
 	return res, transcriptBytes(mem.Events())
 }
 
-// runtimeRun executes the same builtin on the goroutine-per-node runtime
+// runtimeRun executes the same builtin on the message-passing runtime
 // under the deterministic channel conduit.
 func runtimeRun(t *testing.T, name string, seed uint64, opts runtime.Options) (core.RunResult, []byte) {
 	t.Helper()

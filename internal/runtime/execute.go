@@ -13,21 +13,22 @@ type Options struct {
 	// Conduit is the transport; nil means ChannelConduit (deterministic,
 	// transcript-equivalent to the simulator).
 	Conduit Conduit
-	// Mailbox is the per-node inbox capacity; 0 means DefaultMailbox.
+	// Mailbox is the mailbox capacity per node; 0 means DefaultMailbox.
 	Mailbox int
 }
 
 // Execute runs one cooperative execution on the message-passing runtime: the
 // same core.PrepareRun setup core.Run uses — same agents, same RNG streams,
-// same loss key — but with every agent on its own goroutine and every
-// message crossing the conduit. With the default conduit the RunResult and
-// trace transcript are byte-identical to core.Run's for the same cfg; on top
-// of them Execute reports the runtime-layer observables (wall-clock
-// convergence, delivery-latency quantiles) as a metrics.Live.
+// same loss key — but with the agents' handlers on the runtime's host
+// goroutines and every message crossing the conduit. With the default conduit
+// the RunResult and trace transcript are byte-identical to core.Run's for the
+// same cfg; on top of them Execute reports the runtime-layer observables
+// (wall-clock convergence, delivery-latency quantiles) as a metrics.Live.
 //
 // Cancelling ctx stops the run at the next round boundary; the partial Live
-// report is still returned with the context's error. Node goroutines are
-// always torn down before Execute returns.
+// report is still returned with the context's error. The host goroutines are
+// always torn down before Execute returns, so a caller that lent cfg.Pool may
+// reuse it.
 func Execute(ctx context.Context, cfg core.RunConfig, opts Options) (core.RunResult, metrics.Live, error) {
 	setup, err := core.PrepareRun(cfg)
 	if err != nil {

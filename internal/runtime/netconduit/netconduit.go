@@ -39,7 +39,7 @@ const (
 // exercised across distinct conduits by this package's tests.
 //
 // Deliver is safe for concurrent use. Close is idempotent; Runtime.Shutdown
-// calls it automatically (after all node goroutines have exited) when the
+// calls it automatically (after all host goroutines have exited) when the
 // conduit is the runtime's transport.
 type SocketConduit struct {
 	network string

@@ -35,7 +35,7 @@ func testSetup(t *testing.T, n int, seed uint64) (*core.RunSetup, core.Params) {
 	return setup, p
 }
 
-// testRuntime starts node goroutines on the loss-free channel conduit, so the
+// testRuntime starts a runtime's hosts on the loss-free channel conduit, so the
 // socket conduit under test can be driven and torn down independently of the
 // runtime's lifecycle.
 func testRuntime(t *testing.T, n int, seed uint64) (*runtime.Runtime, core.Params) {

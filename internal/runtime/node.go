@@ -8,36 +8,129 @@ import (
 	"repro/internal/gossip"
 )
 
-// Node is one protocol participant running on its own goroutine: it drains
-// its bounded mailbox, invokes the agent's phase logic for each message,
-// leaves what the handler produced in its result slots, and counts the
-// message handled on the runtime's barrier. The mailbox is the backpressure
-// boundary — Send blocks while it is full. A node checks the barrier's
-// stopped flag after every receive, and Runtime.Shutdown wakes idle nodes
-// with a poison message, so a node never leaks, idle or mid-queue.
+// Node is one protocol participant: an agent, the result slots its handlers
+// fill, and the host that runs them. A node has no goroutine of its own — its
+// mailbox is its share of the owning host's queue, and Send is the one way in.
 type Node struct {
 	id    int
 	agent gossip.Agent
-	inbox chan Message
-	bar   *barrier
+	host  *host
 
-	// Result slots: the node writes, the coordinator reads and resets after
-	// a barrier (ownership rule under "Round barrier" in the package doc).
+	// Result slots: the host writes while handling, the coordinator reads and
+	// resets after a barrier (ownership rule under "Round barrier" in the
+	// package doc).
 	action  *gossip.Action   // the Act result; points into Runtime.actions
 	replies []gossip.Payload // HandlePull results, in mailbox order
 	lats    []time.Duration  // delivery latencies of timed messages
 }
 
-// barrier is the one rendezvous between the node goroutines and the
-// coordinator: a completion is one atomic add, and only the completion that
-// reaches the published target touches the wake channel.
+// hostMsg is one queue entry: a message and the node of the range it is for.
+type hostMsg struct {
+	n *Node
+	m Message
+}
+
+// host is one goroutine serving a contiguous range of node IDs from one
+// bounded multi-producer queue. Producers append under mu and wake the host
+// only when it is parked; the host swaps the whole pending slice for its spare
+// and handles the entries in queue order with no lock held, so a message costs
+// one uncontended lock on the way in and none on the way out. A node has
+// exactly one host, so its messages are handled in the order they were
+// accepted — the per-destination FIFO the coordinator and Batch rely on.
+type host struct {
+	bar   *barrier
+	limit int // queue bound: Mailbox × nodes in the range; put blocks at it
+
+	mu      sync.Mutex
+	pending []hostMsg
+	parked  bool          // the host waits on wake; the next put owes it a token
+	wake    chan struct{} // 1 slot
+	room    chan struct{} // closed and replaced by the swap that empties a full queue
+}
+
+func newHost(bar *barrier, limit int) *host {
+	return &host{
+		bar:     bar,
+		limit:   limit,
+		pending: make([]hostMsg, 0, limit),
+		wake:    make(chan struct{}, 1),
+		room:    make(chan struct{}),
+	}
+}
+
+// put enqueues m for n, blocking while the queue is at its bound. It reports
+// false — nothing enqueued — once the runtime has shut down.
+func (h *host) put(n *Node, m Message) bool {
+	if h.bar.stopped.Load() {
+		return false
+	}
+	h.mu.Lock()
+	for len(h.pending) >= h.limit {
+		room := h.room
+		h.mu.Unlock()
+		select {
+		case <-room:
+		case <-h.bar.stop:
+			return false
+		}
+		h.mu.Lock()
+	}
+	h.pending = append(h.pending, hostMsg{n, m})
+	wake := h.parked
+	h.parked = false
+	h.mu.Unlock()
+	if wake {
+		h.wake <- struct{}{} // never blocks: one token per park
+	}
+	return true
+}
+
+// run is the host goroutine: swap the queue out, handle it, count it, until
+// shutdown. The flag is checked before every message, so a stopped host
+// abandons the rest of its queue.
+func (h *host) run(wg *sync.WaitGroup) {
+	defer wg.Done()
+	batch := make([]hostMsg, 0, h.limit)
+	for {
+		h.mu.Lock()
+		for len(h.pending) == 0 {
+			h.parked = true
+			h.mu.Unlock()
+			select {
+			case <-h.wake:
+			case <-h.bar.stop:
+				return
+			}
+			h.mu.Lock()
+		}
+		batch, h.pending = h.pending, batch[:0]
+		if len(batch) >= h.limit { // puts may be waiting for this
+			close(h.room)
+			h.room = make(chan struct{})
+		}
+		h.mu.Unlock()
+		for i := range batch {
+			if h.bar.stopped.Load() {
+				return
+			}
+			batch[i].n.handle(&batch[i].m)
+		}
+		h.bar.complete(len(batch))
+	}
+}
+
+// barrier is the one rendezvous between the hosts and the coordinator: a
+// host counts a whole handled batch with one atomic add, and only the add that
+// carries the count across the published target touches the wake channel.
 //
 // No wake-up is lost: complete does done.Add then want.Load, await does
-// want.Store then done.Load, all sequentially consistent. So the completion
-// that brings done to the target either sees the target and signals, or
-// loaded want — and so added to done — before the target was stored, and
-// await's done.Load then already reads the full count and does not park. A
-// stale token in wake (a signal await's own check made redundant, or halt's)
+// want.Store then done.Load, all sequentially consistent, and done only
+// grows, so exactly one add takes it from below the target to at or above it.
+// That add either sees the target — its own old value is below it, its new
+// one is not — and signals, or loaded want, and so added to done, before the
+// target was stored, and await's done.Load then already reads a count at or
+// past the target and does not park. A stale token in wake (a signal await's
+// own check made redundant, an add that crossed an earlier target, or halt's)
 // only costs the loop one more look at done and stopped.
 type barrier struct {
 	done   atomic.Int64  // messages handled, cumulative over the run
@@ -46,16 +139,17 @@ type barrier struct {
 	issued int64         // messages awaited so far; the coordinator's own
 
 	stopped atomic.Bool
-	stop    chan struct{} // closed by halt; selected on only when a mailbox is full
+	stop    chan struct{} // closed by halt; parked hosts and blocked puts select on it
 }
 
 func newBarrier() *barrier {
 	return &barrier{stop: make(chan struct{}), wake: make(chan struct{}, 1)}
 }
 
-// complete counts one handled message.
-func (b *barrier) complete() {
-	if b.done.Add(1) == b.want.Load() {
+// complete counts k handled messages.
+func (b *barrier) complete(k int) {
+	done := b.done.Add(int64(k))
+	if want := b.want.Load(); done-int64(k) < want && want <= done {
 		b.signal()
 	}
 }
@@ -67,7 +161,7 @@ func (b *barrier) signal() {
 	}
 }
 
-// await parks the coordinator until the n messages it has put into mailboxes
+// await parks the coordinator until the n messages it has put into queues
 // since its last await are handled too. Once the runtime is stopped it
 // reports false, at once and for good: the caller must then not touch node
 // state, whose writers may still run.
@@ -83,8 +177,8 @@ func (b *barrier) await(n int) bool {
 	return false
 }
 
-// halt raises the flag, releases every Send blocked on a full mailbox, and
-// wakes a parked await. Call it once.
+// halt raises the flag, releases every put blocked on a full queue and every
+// parked host, and wakes a parked await. Call it once.
 func (b *barrier) halt() {
 	b.stopped.Store(true)
 	close(b.stop)
@@ -94,42 +188,14 @@ func (b *barrier) halt() {
 // ID returns the node's index in the topology.
 func (n *Node) ID() int { return n.id }
 
-// Send enqueues a message into the node's mailbox, blocking while the
-// mailbox is full (backpressure). It reports false — without delivering —
-// once the runtime has shut down.
-func (n *Node) Send(m Message) bool {
-	if n.bar.stopped.Load() {
-		return false
-	}
-	select {
-	case n.inbox <- m:
-		return true
-	default:
-	}
-	// Mailbox full: wait for room, or for shutdown to give up on it.
-	select {
-	case n.inbox <- m:
-		return true
-	case <-n.bar.stop:
-		return false
-	}
-}
+// Send enqueues a message for the node on its host's queue, blocking while
+// that queue is full (backpressure). It reports false — without delivering —
+// once the runtime has shut down. It is safe from any goroutine; messages one
+// goroutine Sends to one node are handled in Send order.
+func (n *Node) Send(m Message) bool { return n.host.put(n, m) }
 
-// run is the node goroutine: drain the mailbox until shutdown.
-func (n *Node) run(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		m := <-n.inbox
-		if n.bar.stopped.Load() {
-			return
-		}
-		n.handle(m)
-	}
-}
-
-// handle processes one message through the agent and counts it handled,
-// exactly once — the coordinator's lockstep depends on it.
-func (n *Node) handle(m Message) {
+// handle processes one message through the agent, on the node's host.
+func (n *Node) handle(m *Message) {
 	if !m.SentAt.IsZero() {
 		n.lats = append(n.lats, time.Since(m.SentAt))
 	}
@@ -149,5 +215,4 @@ func (n *Node) handle(m Message) {
 	case MsgReply:
 		n.agent.HandlePullReply(m.Round, m.From, m.Payload)
 	}
-	n.bar.complete()
 }

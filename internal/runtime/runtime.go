@@ -1,6 +1,7 @@
 // Package runtime executes the protocol as a real message-passing system:
-// every agent becomes a Node — its own goroutine with a typed, bounded
-// mailbox — and all communication crosses a pluggable Conduit transport.
+// every agent becomes a Node with a typed, bounded mailbox, a few host
+// goroutines each serve a contiguous range of nodes from one queue, and all
+// communication crosses a pluggable Conduit transport.
 // It is the simulator-to-runtime ladder: in-process channels
 // (ChannelConduit), fault-injecting transports layered on top
 // (FaultConduit), and real OS sockets (the netconduit subpackage: framed
@@ -13,15 +14,24 @@
 // The coordinator is a deterministic round-barrier scheduler that mirrors
 // gossip.Engine.Step operation for operation: advance the dynamic topology
 // at the round boundary, fan RoundStart out to every active node and collect
-// their actions (the nodes run Act concurrently, like the engine's parallel
-// Act phase), validate against the topology in node order, then deliver
-// pushes and resolve pulls in ascending node-ID order. Message loss
+// their actions (the hosts run their ranges' Acts concurrently, like the
+// engine's parallel Act phase), validate against the topology in node order,
+// then deliver pushes and resolve pulls in ascending node-ID order. Message loss
 // (Config.Drop) is the simulator's keyed decision (gossip.Loss) under the same
 // key, so the runtime loses exactly the crossings the simulator loses. Agents
 // never emit trace events, so over any transport that loses nothing of its
 // own the runtime's transcript is byte-identical to the simulator's for the
 // same seed — every golden fixture and experiment finding carries over. See
 // the equivalence suite in this package's tests.
+//
+// # Hosted node ranges
+//
+// New starts W = min(GOMAXPROCS, active nodes) host goroutines, not one per
+// node: host w owns node IDs [w·n/W, (w+1)·n/W) and the one queue every
+// message for them enters (see host). A round parks and wakes W goroutines a
+// few times, not n, and per-node FIFO order — all the transcript needs —
+// holds because a node has exactly one host. W follows GOMAXPROCS as New finds
+// it; there is no other width setting.
 //
 // # Pipelined delivery
 //
@@ -43,17 +53,18 @@
 //
 // Every coordinator wait — the Act fan-out of a round, or any one of its
 // delivery waves — is one barrier, and reaching it takes no
-// channel that two nodes share. A node leaves what a handler produced in
-// slots only it writes (its entry of the action table, a FIFO of HandlePull
-// results, a scratch of delivery latencies) and bumps one atomic count of
-// handled messages; the coordinator publishes the count it is owed and parks
-// on a one-slot wake channel that only the increment reaching that count
-// signals (see barrier for why no wake-up is lost). Ownership: a node writes
-// its slots, and its agent, only while handling a message; the coordinator
-// reads or resets them only between a barrier that counted every message it
-// sent that node and its next send there. Shutdown is a flag on the same
-// barrier: a wait that sees it fails without reading any slot — nodes may
-// still be running — and Run returns ErrShutdown.
+// lock that two hosts share. A handler leaves what it produced in its node's
+// slots (its entry of the action table, a FIFO of HandlePull results, a
+// scratch of delivery latencies) and the host adds each batch it has handled
+// to one atomic count of handled messages; the coordinator publishes the count
+// it is owed and parks on a one-slot wake channel that only the add crossing
+// that count signals (see barrier for why no wake-up is lost). Ownership: a
+// node's slots, and its agent, are written only by its host, only while
+// handling a message; the coordinator reads or resets them only between a
+// barrier that counted every message it sent that node and its next send
+// there. Shutdown is a flag on the same barrier: a wait that sees it fails
+// without reading any slot — hosts may still be running — and Run returns
+// ErrShutdown.
 //
 // On top of that parity the runtime measures what the simulator cannot:
 // wall-clock convergence and per-message delivery latency, reported as a
@@ -65,6 +76,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	stdruntime "runtime"
 	"sync"
 	"time"
 
@@ -76,15 +88,15 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultMailbox is the per-node inbox capacity when Config.Mailbox is 0. A
-// pipelined wave can address several messages to one node before it wakes;
-// the buffer absorbs the usual few, and past it Send's backpressure makes
-// the dispatcher wait for that node.
+// DefaultMailbox is Config.Mailbox's default. A host serving k nodes accepts
+// Mailbox × k unhandled messages, whichever of its nodes they are for; a
+// pipelined wave addresses about one per node, so four absorbs any normal
+// wave, and past the bound Send's backpressure makes the dispatcher wait.
 const DefaultMailbox = 4
 
-// slotCap pre-sizes a node's reply FIFO and latency scratch above the
-// deliveries one node normally sees in a round, so steady rounds allocate
-// nothing.
+// slotCap is a node's share of the reply-FIFO and latency-scratch slabs, above
+// the deliveries one node normally sees in a round, so steady rounds allocate
+// nothing (a node that outgrows it appends into a private array).
 const slotCap = 8
 
 // Config configures a Runtime. It mirrors gossip.Config — same topology,
@@ -94,7 +106,7 @@ type Config struct {
 	// Started by the caller; the runtime advances it once per round.
 	Topology topo.Topology
 	// Faulty marks permanently faulty nodes; nil means fault-free. Nodes in
-	// this mask may have no agent and get no goroutine.
+	// this mask may have no agent and are never sent a message.
 	Faulty []bool
 	// Faults optionally adds a dynamic quiescence schedule on top of Faulty.
 	Faults gossip.FaultSchedule
@@ -111,14 +123,14 @@ type Config struct {
 	DropRand *rng.Source
 	// Conduit is the transport; nil means ChannelConduit.
 	Conduit Conduit
-	// Mailbox is the per-node inbox capacity; 0 means DefaultMailbox.
+	// Mailbox is the mailbox capacity per node; 0 means DefaultMailbox.
 	Mailbox int
 }
 
 // Runtime drives a set of Nodes through synchronous rounds. It is the
 // deterministic round-barrier scheduler; all delivery decisions (loss,
 // silence, validation) happen here on the coordinator goroutine, while the
-// protocol handlers run on the node goroutines.
+// protocol handlers run on the host goroutines.
 type Runtime struct {
 	topo     topo.Topology
 	dyn      topo.Dynamic // non-nil iff topo is a per-round graph process
@@ -129,7 +141,7 @@ type Runtime struct {
 	loss     gossip.Loss
 	conduit  Conduit
 
-	nodes []*Node
+	nodes []Node // one slab; a faulty slot has a nil agent and no host
 	bar   *barrier
 	wg    sync.WaitGroup
 	halt  sync.Once
@@ -177,10 +189,10 @@ type pullRec struct {
 	w2        int32    // the reply's index in the wave-2 results, -1 if not dispatched
 }
 
-// New validates cfg, builds the node set, and starts one goroutine per
-// active agent. agents[i] is the agent at node i; entries for faulty nodes
-// may be nil. It panics on size mismatches, mirroring gossip.NewEngine. The
-// caller must eventually call Shutdown to stop the node goroutines.
+// New validates cfg, builds the node set, and starts the host goroutines.
+// agents[i] is the agent at node i; entries for faulty nodes may be nil. It
+// panics on size mismatches, mirroring gossip.NewEngine. The caller must
+// eventually call Shutdown to stop the hosts.
 func New(cfg Config, agents []gossip.Agent) *Runtime {
 	n := cfg.Topology.N()
 	if len(agents) != n {
@@ -193,8 +205,11 @@ func New(cfg Config, agents []gossip.Agent) *Runtime {
 	if len(faulty) != n {
 		panic(fmt.Sprintf("runtime: faulty mask has %d entries for %d nodes", len(faulty), n))
 	}
+	active := 0
 	for i, a := range agents {
-		if a == nil && !faulty[i] {
+		if a != nil {
+			active++
+		} else if !faulty[i] {
 			panic(fmt.Sprintf("runtime: active node %d has no agent", i))
 		}
 	}
@@ -224,34 +239,46 @@ func New(cfg Config, agents []gossip.Agent) *Runtime {
 		loss:     gossip.NewLoss(cfg.Drop, cfg.DropRand),
 		conduit:  conduit,
 		batch:    newBatch(conduit),
-		nodes:    make([]*Node, n),
+		nodes:    make([]Node, n),
 		bar:      newBarrier(),
 		actions:  make([]gossip.Action, n),
 		rhead:    make([]int, n),
 	}
 	rt.dyn, _ = cfg.Topology.(topo.Dynamic)
-	for i, a := range agents {
-		if a == nil {
-			continue
-		}
-		rt.nodes[i] = &Node{
-			id:      i,
-			agent:   a,
-			inbox:   make(chan Message, mailbox),
-			bar:     rt.bar,
-			action:  &rt.actions[i],
-			replies: make([]gossip.Payload, 0, slotCap),
-			lats:    make([]time.Duration, 0, slotCap),
+	replies := make([]gossip.Payload, n*slotCap)
+	lats := make([]time.Duration, n*slotCap)
+	width := min(stdruntime.GOMAXPROCS(0), active)
+	for w := 0; w < width; w++ {
+		lo, hi := w*n/width, (w+1)*n/width
+		h := newHost(rt.bar, mailbox*(hi-lo))
+		for i := lo; i < hi; i++ {
+			if agents[i] == nil {
+				continue
+			}
+			s := i * slotCap
+			rt.nodes[i] = Node{
+				id:      i,
+				agent:   agents[i],
+				host:    h,
+				action:  &rt.actions[i],
+				replies: replies[s : s : s+slotCap],
+				lats:    lats[s : s : s+slotCap],
+			}
 		}
 		rt.wg.Add(1)
-		go rt.nodes[i].run(&rt.wg)
+		go h.run(&rt.wg)
 	}
 	return rt
 }
 
 // Node returns the node at id (nil for faulty slots) — the handle conduit
 // implementations and transport tests address messages to.
-func (rt *Runtime) Node(id int) *Node { return rt.nodes[id] }
+func (rt *Runtime) Node(id int) *Node {
+	if rt.nodes[id].agent == nil {
+		return nil
+	}
+	return &rt.nodes[id]
+}
 
 // Round returns the number of rounds executed so far.
 func (rt *Runtime) Round() int { return rt.round }
@@ -260,26 +287,14 @@ func (rt *Runtime) Round() int { return rt.round }
 // addressed a non-neighbor or an out-of-range node.
 func (rt *Runtime) DroppedActions() int { return rt.dropped }
 
-// Shutdown stops every node goroutine and waits for them to exit, then
+// Shutdown stops every host goroutine and waits for them to exit, then
 // closes the conduit if it holds transport resources (implements io.Closer)
 // — the socket conduit's listener and connections die with the runtime. It
 // is idempotent and safe to call from any goroutine — a Run in flight
 // returns ErrShutdown; once both have returned, the agents' final state is
 // safe to read.
 func (rt *Runtime) Shutdown() {
-	rt.halt.Do(func() {
-		rt.bar.halt()
-		for _, n := range rt.nodes {
-			if n != nil {
-				// Poison wakes an idle node to see the flag; behind a full
-				// mailbox the node is about to receive anyway.
-				select {
-				case n.inbox <- Message{}:
-				default:
-				}
-			}
-		}
-	})
+	rt.halt.Do(rt.bar.halt)
 	rt.wg.Wait()
 	if c, ok := rt.conduit.(io.Closer); ok {
 		c.Close() //nolint:errcheck // best-effort teardown; Close is idempotent
@@ -343,7 +358,7 @@ func (rt *Runtime) emit(ev trace.Event) {
 
 // allDecided mirrors gossip.Engine: currently-silent nodes do not block
 // termination. Reading agent state here is race-free — every agent mutation
-// happens on its node goroutine before the completion the coordinator's
+// happens on its host goroutine before the completion the coordinator's
 // last barrier counted.
 func (rt *Runtime) allDecided() bool {
 	for i, a := range rt.agents {
@@ -368,9 +383,9 @@ func (rt *Runtime) step() bool {
 		rt.dyn.Advance(round)
 	}
 
-	// Act fan-out: every active node computes its action concurrently on its
-	// own goroutine; silent nodes contribute NoAction without being woken, so
-	// their RNG streams stay untouched (exactly the engine's act()).
+	// Act fan-out: the hosts compute their active nodes' actions concurrently;
+	// silent nodes contribute NoAction without being sent anything, so their
+	// RNG streams stay untouched (exactly the engine's act()).
 	pending := 0
 	for i := range rt.agents {
 		if rt.silent(round, i) {
@@ -404,13 +419,12 @@ func (rt *Runtime) step() bool {
 	}
 
 	// Every message of the round has been counted: read the latencies out.
-	for _, n := range rt.nodes {
-		if n != nil {
-			for _, d := range n.lats {
-				rt.lat.Add(int64(d))
-			}
-			n.lats = n.lats[:0]
+	for i := range rt.nodes {
+		n := &rt.nodes[i]
+		for _, d := range n.lats {
+			rt.lat.Add(int64(d))
 		}
+		n.lats = n.lats[:0]
 	}
 	rt.tally.AddRound()
 	rt.counters.AddDelta(0, rt.tally)
@@ -438,7 +452,7 @@ func (rt *Runtime) validate(round, u int, a *gossip.Action) {
 // each reply to its query. An out-of-range panic here means a delivered query
 // was never handled — a broken conduit or node, worth failing loudly over.
 func (rt *Runtime) popReply(id int) gossip.Payload {
-	n := rt.nodes[id]
+	n := &rt.nodes[id]
 	reply := n.replies[rt.rhead[id]]
 	if rt.rhead[id]++; rt.rhead[id] == len(n.replies) {
 		n.replies, rt.rhead[id] = n.replies[:0], 0
@@ -479,14 +493,14 @@ func (rt *Runtime) pushWave(round int) {
 		a := rt.actions[u]
 		switch {
 		case u == a.To:
-			rt.batch.Add(rt.nodes[u], Message{Kind: classifyPush(a.Payload), Round: round, From: u, Payload: a.Payload})
+			rt.batch.Add(&rt.nodes[u], Message{Kind: classifyPush(a.Payload), Round: round, From: u, Payload: a.Payload})
 			rt.pfates = append(rt.pfates, pushSelf)
 		case rt.loss.Lost(round, u, a.To, gossip.LegPush):
 			rt.pfates = append(rt.pfates, pushLost)
 		case rt.silent(round, a.To):
 			rt.pfates = append(rt.pfates, pushSilent)
 		default:
-			rt.batch.Add(rt.nodes[a.To], Message{Kind: classifyPush(a.Payload), Round: round, From: u, Payload: a.Payload, SentAt: now})
+			rt.batch.Add(&rt.nodes[a.To], Message{Kind: classifyPush(a.Payload), Round: round, From: u, Payload: a.Payload, SentAt: now})
 			rt.pfates = append(rt.pfates, pushSent)
 		}
 	}
@@ -549,14 +563,14 @@ func (rt *Runtime) pullWaves(round int) {
 		a := rt.actions[u]
 		switch {
 		case u == a.To:
-			rt.batch.Add(rt.nodes[u], Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload})
+			rt.batch.Add(&rt.nodes[u], Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload})
 			rt.precs = append(rt.precs, pullRec{fate: pushSelf})
 		case rt.loss.Lost(round, u, a.To, gossip.LegQuery):
 			rt.precs = append(rt.precs, pullRec{fate: pushLost, note: "query-lost"})
 		case rt.silent(round, a.To):
 			rt.precs = append(rt.precs, pullRec{fate: pushSilent, note: "no-reply"})
 		default:
-			rt.batch.Add(rt.nodes[a.To], Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload, SentAt: now})
+			rt.batch.Add(&rt.nodes[a.To], Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload, SentAt: now})
 			rt.precs = append(rt.precs, pullRec{fate: pushSent})
 		}
 	}
@@ -593,7 +607,7 @@ func (rt *Runtime) pullWaves(round int) {
 		}
 		rec.w2 = w2
 		w2++
-		rt.batch.Add(rt.nodes[u], Message{Kind: MsgReply, Round: round, From: a.To, Payload: reply, SentAt: now})
+		rt.batch.Add(&rt.nodes[u], Message{Kind: MsgReply, Round: round, From: a.To, Payload: reply, SentAt: now})
 	}
 	if !rt.flushWave(notifies) {
 		return

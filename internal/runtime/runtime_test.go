@@ -61,17 +61,21 @@ func runtimeFor(setup *core.RunSetup, opts Options) *Runtime {
 	}, setup.Agents)
 }
 
+// queued reports how many accepted messages wait on h's queue.
+func queued(h *host) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.pending)
+}
+
 // TestMailboxBackpressure pins the bounded-mailbox contract: Send fills the
-// mailbox of a node that is not draining, then blocks — and unblocks, with
-// a false return, when the runtime shuts down.
+// queue of a host that is not draining, then blocks — and unblocks, with a
+// false return, when the runtime shuts down.
 func TestMailboxBackpressure(t *testing.T) {
 	bar := newBarrier()
-	n := &Node{
-		id:    0,
-		inbox: make(chan Message, 2),
-		bar:   bar,
-	}
-	// The node goroutine is deliberately not started: nothing drains.
+	// The host goroutine is deliberately not started: nothing drains.
+	h := newHost(bar, 2)
+	n := &Node{id: 0, host: h}
 	for i := 0; i < 2; i++ {
 		if !n.Send(Message{Kind: MsgPush, Round: i}) {
 			t.Fatalf("send %d into empty mailbox failed", i)
@@ -83,7 +87,7 @@ func TestMailboxBackpressure(t *testing.T) {
 	case <-blocked:
 		t.Fatal("send into a full mailbox did not block")
 	case <-time.After(50 * time.Millisecond):
-		// Blocked, as required: the mailbox is the backpressure boundary.
+		// Blocked, as required: the queue bound is the backpressure boundary.
 	}
 	bar.halt()
 	select {
@@ -94,7 +98,7 @@ func TestMailboxBackpressure(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("blocked send did not unblock on shutdown")
 	}
-	if got := len(n.inbox); got != 2 {
+	if got := queued(h); got != 2 {
 		t.Fatalf("mailbox holds %d messages, want the 2 accepted", got)
 	}
 }
@@ -243,9 +247,11 @@ func TestFaultConduitJitter(t *testing.T) {
 // messages, must see the same 200 fates.
 func TestFaultConduitConcurrentDeliver(t *testing.T) {
 	const workers, each = 8, 200
-	// A bare node with a mailbox sized for every message: nothing drains, and
-	// no Send ever blocks, so the test isolates the conduit's own state.
-	n := &Node{id: 0, inbox: make(chan Message, workers*each), bar: newBarrier()}
+	// A bare node on a bare host whose queue is sized for every message:
+	// nothing drains, and no Send ever blocks, so the test isolates the
+	// conduit's own state.
+	h := newHost(newBarrier(), workers*each)
+	n := &Node{id: 0, host: h}
 	c := NewFaultConduit(nil, 1, 0.3, 50*time.Microsecond)
 	var wg sync.WaitGroup
 	var delivered atomic.Int64
@@ -262,8 +268,8 @@ func TestFaultConduitConcurrentDeliver(t *testing.T) {
 	}
 	wg.Wait()
 	got := delivered.Load()
-	if got != int64(len(n.inbox)) {
-		t.Fatalf("delivered %d, mailbox holds %d", got, len(n.inbox))
+	if got != int64(queued(h)) {
+		t.Fatalf("delivered %d, mailbox holds %d", got, queued(h))
 	}
 	// With a 30% drop rate both outcomes must occur among 200 crossings, and
 	// identically for each of the workers that asked about them.
@@ -292,8 +298,8 @@ func TestBackpressureDrain(t *testing.T) {
 }
 
 // gatedAgent blocks the chosen handler, from the given round on, until
-// release is closed, announcing on entered that a node goroutine is now stuck
-// inside it — the way tests hold nodes mid-message while something else
+// release is closed, announcing on entered that a host goroutine is now stuck
+// inside it — the way tests hold hosts mid-message while something else
 // happens.
 type gatedAgent struct {
 	gossip.Agent
@@ -398,10 +404,11 @@ func TestShutdownDuringRun(t *testing.T) {
 	}
 }
 
-// TestShutdownFullMailboxes pins the other half of the poison contract:
-// when every mailbox is full at Shutdown the poison message cannot be
-// enqueued anywhere, and every node must still exit — on the flag it checks
-// after its next receive.
+// TestShutdownFullMailboxes pins shutdown at its worst: every host stuck
+// inside a handler with its queue full behind it, so nothing can be enqueued
+// anywhere. Shutdown must still return once the handlers do — each host sees
+// the flag before its next message and abandons the rest — and leave no
+// goroutine behind.
 func TestShutdownFullMailboxes(t *testing.T) {
 	const n, mailbox = 32, 2
 	before := goroutines()
@@ -413,11 +420,15 @@ func TestShutdownFullMailboxes(t *testing.T) {
 		agents[i] = &gatedAgent{Agent: a, round: 0, entered: entered, release: release}
 	}
 	rt := New(Config{Topology: setup.Net, Mailbox: mailbox}, agents)
+	hosts := 0
 	for i := 0; i < n; i++ {
-		rt.Node(i).Send(Message{Kind: MsgRound})
+		if i == 0 || rt.Node(i).host != rt.Node(i-1).host {
+			rt.Node(i).Send(Message{Kind: MsgRound})
+			hosts++
+		}
 	}
-	for i := 0; i < n; i++ {
-		<-entered // node i's goroutine is inside Act; nothing drains its mailbox
+	for i := 0; i < hosts; i++ {
+		<-entered // a host is inside Act; nothing drains its queue
 	}
 	for i := 0; i < n; i++ {
 		for k := 0; k < mailbox; k++ {
@@ -425,8 +436,10 @@ func TestShutdownFullMailboxes(t *testing.T) {
 				t.Fatalf("node %d refused message %d of %d", i, k, mailbox)
 			}
 		}
-		if got := len(rt.Node(i).inbox); got != mailbox {
-			t.Fatalf("node %d mailbox holds %d, want it full at %d", i, got, mailbox)
+	}
+	for w, h := range hostsOf(rt) {
+		if got := queued(h); got != h.limit {
+			t.Fatalf("host %d's queue holds %d, want it full at %d", w, got, h.limit)
 		}
 	}
 	shut := make(chan struct{})

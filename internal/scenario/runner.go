@@ -185,6 +185,15 @@ func (r *Runner) RunConfig(seed uint64) core.RunConfig {
 	}
 }
 
+// BorrowPool lends one of the runner's reusable run pools to a caller that
+// executes RunConfig itself (the live runtime): set it as RunConfig.Pool and
+// hand it back with ReturnPool once nothing touches the run's agents any more.
+// Like every pooled run, the result's Agents then alias the pool.
+func (r *Runner) BorrowPool() *core.RunPool { return r.pools.get() }
+
+// ReturnPool puts a borrowed pool back on the runner's free list.
+func (r *Runner) ReturnPool(pool *core.RunPool) { r.pools.put(pool) }
+
 // GameConfig assembles the rational-layer configuration of one game
 // execution at the given seed.
 func (r *Runner) GameConfig(seed uint64) rational.GameConfig {

@@ -18,7 +18,7 @@ func minMax(s stats.Summary) string { return F(s.Min) + "–" + F(s.Max) }
 
 // RuntimeOptions configures E15, the simulator-vs-runtime comparison: the
 // same scenarios executed by the round-loop simulator and by the
-// goroutine-per-node message-passing runtime, which reports the observables
+// message-passing runtime, which reports the observables
 // the simulator cannot — wall-clock convergence time and per-message
 // delivery-latency quantiles.
 type RuntimeOptions struct {
@@ -27,7 +27,7 @@ type RuntimeOptions struct {
 	Trials int
 	Seed   uint64
 	// Workers is the simulator's engine parallelism for the timed sim runs
-	// (0 = all CPUs); the runtime always uses one goroutine per node.
+	// (0 = all CPUs); the runtime always uses GOMAXPROCS host goroutines.
 	Workers int
 }
 
@@ -96,9 +96,9 @@ func RunE15Runtime(o RuntimeOptions) []*Table {
 		e15.AddRow(I(n), F(rounds/t), F(sim.Median), minMax(sim), F(rt.Median), minMax(rt),
 			F(rt.Median/sim.Median)+"×", F(delivered/t), F(p50/t), F(p99/t), I(o.Trials))
 	}
-	e15.AddNote("both engines execute the identical protocol off identical seeds (transcript-equivalent; the rounds column is checked to match run by run); sim ms is the round-loop simulator's wall time, runtime ms is the goroutine-per-node runtime's — one goroutine and bounded mailbox per agent, every message a real channel delivery")
+	e15.AddNote("both engines execute the identical protocol off identical seeds (transcript-equivalent; the rounds column is checked to match run by run); sim ms is the round-loop simulator's wall time, runtime ms is the message-passing runtime's — a bounded mailbox per agent, GOMAXPROCS host goroutines each draining one contiguous range of them, every message a real queue delivery")
 	e15.AddNote("lat p50/p99 are streaming quantiles over every delivered payload message (push/vote/query/reply), measured send-to-handler through the in-process channel conduit; the gap between them and the runtime/sim wall-clock ratio is the price of physically moving each message the simulator only counts")
-	e15.AddNote("wall times are medians over the trials with the min–max range beside them (each trial is a different seed, so the range holds seed-to-seed variation as well as host noise); runtime/sim is the ratio of the two medians. On the 2-vCPU reference host it reads 4.7× / 4.2× / 4.9× at n = 128 / 1024 / 4096; before the coordinator stopped taking two process-wide channel locks per node wake-up (an events channel and a stop channel every node selected on) it read 7.6× / 8.5× / 12.1× and widened with n")
+	e15.AddNote("wall times are medians over the trials with the min–max range beside them (each trial is a different seed, so the range holds seed-to-seed variation as well as host noise); runtime/sim is the ratio of the two medians. On the 2-vCPU reference host it reads 2.0× / 2.0× / 2.0× at n = 128 / 1024 / 4096 and no longer widens with n; with one goroutine and one channel per node — n goroutines parked and woken several times a round — the same tables read 5.1× / 6.4× / 6.7×")
 	return []*Table{e15}
 }
 
@@ -111,7 +111,7 @@ type TransportOptions struct {
 	Trials int
 	Seed   uint64
 	// Workers is accepted for interface symmetry with the other experiments;
-	// the runtime always uses one goroutine per node.
+	// the runtime always uses GOMAXPROCS host goroutines.
 	Workers int
 }
 
@@ -178,6 +178,6 @@ func RunE16Transports(o TransportOptions) []*Table {
 	}
 	e16.AddNote("all three transports execute the identical protocol off identical seeds and are checked to produce the identical Result — the transport moves the bytes, never the outcome — so wall ms and the latency quantiles isolate transport cost alone")
 	e16.AddNote("unix and tcp deliveries cross a real OS socket as length-prefixed binary frames, dispatched in pipelined round waves: all same-peer messages of a flush coalesce into one multi-message v2 frame answered by one bitmap ack, so a round costs a handful of writes instead of a synchronous write→ack round trip per message")
-	e16.AddNote("pipelining closed most of the socket gap: at n=1024 the pre-batching ladder read channel 558 ms, unix 2699 ms (4.8×), tcp 3893 ms (7.0×); batched it reads unix ≈2.5× and tcp ≈2.4× of the channel wall (vs channel, medians of 10) — ratios that rose from ≈1.3× when the lock-free round barrier made the channel rung itself 2.7× faster (345 → 126 ms) while the sockets' own walls fell less (unix 458 → 312 ms, tcp 463 → 299 ms): with the coordinator cheap, the socket is the visible cost again. The lat columns price wave turnaround (send stamped at wave dispatch, handled when the coalesced frame lands), not a lone message's hop")
+	e16.AddNote("pipelining closed most of the socket gap: at n=1024 the pre-batching ladder read channel 558 ms, unix 2699 ms (4.8×), tcp 3893 ms (7.0×); batched it reads unix ≈5.5× and tcp ≈5.5× of the channel wall (vs channel, medians of 10) — ratios that rose from ≈1.3× as the channel rung itself got faster twice (the lock-free round barrier, 345 → 126 ms; hosted node ranges, 120 → 35 ms) while the sockets' own walls fell less each time (unix 458 → 312 → 193 ms, tcp 463 → 299 → 196 ms): with the coordinator and the mailboxes cheap, the socket is the visible cost again. The lat columns price wave turnaround (send stamped at wave dispatch, handled when the coalesced frame lands), not a lone message's hop")
 	return []*Table{e16}
 }
