@@ -33,11 +33,12 @@
 //
 // The implementation lives under internal/, organized as three layers:
 //
-// Engine layer. internal/gossip holds one executor implementing the GOSSIP
+// Engine layer. internal/gossip holds one Executor implementing the GOSSIP
 // delivery semantics (push/pull, self-op short-circuiting, fault silence,
 // probabilistic per-message loss, trace emission, bit accounting) exactly
-// once, with two thin schedulers over it: the synchronous Engine and the
-// sequential (one random agent per tick) AsyncEngine. Fault models are
+// once — decide an operation, carry it, settle it — with two thin schedulers
+// over it: the synchronous Engine and the sequential (one random agent per
+// tick) AsyncEngine, both carrying by direct call. Fault models are
 // pluggable FaultSchedules — permanent quiescence, crash-at-round-r,
 // periodic churn — and the orthogonal Drop rate loses any message crossing
 // a link with fixed probability, decided per crossing by a seed-keyed hash of
@@ -71,10 +72,11 @@
 // fault-injecting wrapper adding seed-derived per-message drop and latency
 // jitter below the protocol's own fault model. A round-barrier coordinator
 // drives the nodes in lockstep through the same core.PrepareRun state the
-// simulator uses and decides loss with the simulator's keyed per-crossing
-// decision under the same key — every phase of a round goes out as one
-// pipelined delivery wave, on every transport — so the runtime is
-// transcript-equivalent to the simulator:
+// simulator uses and is the Executor's third client: it takes every decision
+// (validation, keyed loss, silence) from it, hands every outcome back to the
+// same settlement (accounting, trace), and carries only the deliveries itself
+// — every phase of a round goes out as one pipelined delivery wave, on every
+// transport — so the runtime is transcript-equivalent to the simulator:
 // byte-identical trace transcripts and identical results for the same seed
 // (pinned across every builtin scenario, including dynamic graphs and all
 // three protocol variants). What it adds is what simulation cannot measure —

@@ -6,19 +6,14 @@ package gossip
 // receive pushes, and does not answer pulls — the paper's permanently-faulty
 // behaviour (Section 2), generalized over time so that crash-at-round-r and
 // churn fault models are expressible without touching delivery semantics.
+// The paper's permanent faults themselves are Config.Faulty; a schedule adds
+// quiescence on top of them.
 //
 // Implementations must be pure functions of (r, u): the executor may consult
 // them multiple times per round and from the parallel Act phase.
 type FaultSchedule interface {
 	Silent(r, u int) bool
 }
-
-// StaticFaults is the paper's worst-case permanent fault model: a fixed mask
-// of nodes quiescent from round 0. A nil or empty mask means fault-free.
-type StaticFaults []bool
-
-// Silent reports whether u is masked.
-func (f StaticFaults) Silent(r, u int) bool { return len(f) != 0 && f[u] }
 
 // CrashSchedule runs the masked nodes honestly until round Round, then
 // silences them permanently — a crash fault with a chosen onset.
@@ -47,18 +42,4 @@ func (c ChurnSchedule) Silent(r, u int) bool {
 		return false
 	}
 	return (r/c.Period+u)%2 == 1
-}
-
-// UnionFaults combines schedules: a node is silent when any member schedule
-// silences it.
-type UnionFaults []FaultSchedule
-
-// Silent reports whether any member schedule silences u at round r.
-func (s UnionFaults) Silent(r, u int) bool {
-	for _, f := range s {
-		if f.Silent(r, u) {
-			return true
-		}
-	}
-	return false
 }

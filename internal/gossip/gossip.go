@@ -13,11 +13,13 @@
 // from a quiescent one at the puller, which is precisely the "pretend to be
 // faulty" deviation the protocol must tolerate.
 //
-// Both execution models are thin schedulers over one shared executor that
+// Both execution models are thin schedulers over one shared Executor that
 // owns the delivery semantics exactly once: Engine runs synchronous rounds
 // (every agent acts, then pushes and pulls resolve in node-ID order) and
 // AsyncEngine runs the sequential GOSSIP model of the paper's second open
-// problem (one random node awake per tick).
+// problem (one random node awake per tick). The message-passing runtime
+// (internal/runtime) is the Executor's third client: it carries operations
+// over a transport but decides and settles them through the same methods.
 package gossip
 
 import (
@@ -138,7 +140,7 @@ type EngineMem struct {
 
 // Engine executes synchronous GOSSIP rounds over a set of agents.
 type Engine struct {
-	x       executor
+	x       Executor
 	workers int
 	round   int
 	actions []Action // scratch, reused across rounds
@@ -156,7 +158,7 @@ func NewEngine(cfg Config, agents []Agent) *Engine {
 		e = &cfg.Mem.engine
 		e.round = 0
 	}
-	e.x.init(cfg, agents)
+	e.x.Init(cfg, agents)
 	e.workers = cfg.Workers
 	if cap(e.actions) < len(agents) {
 		e.actions = make([]Action, len(agents))
@@ -167,7 +169,7 @@ func NewEngine(cfg Config, agents []Agent) *Engine {
 
 // act records node i's action for the round (NoAction when silenced).
 func (e *Engine) act(round, i int) {
-	if e.x.silent(round, i) {
+	if e.x.Silent(round, i) {
 		e.actions[i] = NoAction()
 		return
 	}
@@ -182,7 +184,7 @@ func (e *Engine) Counters() *metrics.Counters { return e.x.counters }
 
 // DroppedActions returns how many actions were discarded because they
 // addressed a non-neighbor or an out-of-range node.
-func (e *Engine) DroppedActions() int { return e.x.dropped }
+func (e *Engine) DroppedActions() int { return e.x.Dropped() }
 
 // Step executes one synchronous round: collect every active agent's action
 // (possibly in parallel), deliver pushes in node-ID order, then resolve pulls
@@ -192,14 +194,9 @@ func (e *Engine) Step() {
 	n := len(e.x.agents)
 	round := e.round
 
-	// A dynamic topology evolves at the round boundary: round 0 runs on the
-	// edge set Start materialized, and every later round advances the process
-	// exactly once, here, before any agent reads it. Between boundaries the
-	// edge set is immutable, so the parallel Act phase below may sample peers
-	// from it concurrently.
-	if e.x.dyn != nil && round > 0 {
-		e.x.dyn.Advance(round)
-	}
+	// A dynamic topology evolves at the round boundary, before the parallel
+	// Act phase below samples peers from it.
+	e.x.Advance(round)
 
 	// Decision phase: agents choose their one active operation. Safe to
 	// parallelize because Act only touches the agent's own state. The serial
@@ -213,30 +210,14 @@ func (e *Engine) Step() {
 		par.ForN(e.workers, n, func(i int) { e.act(round, i) })
 	}
 
-	// Validate actions against the topology while collecting this round's
-	// delivery order into the reused push/pull index slices (ascending node
-	// ID, exactly the order the scans they replace produced).
-	e.pushes = e.pushes[:0]
-	e.pulls = e.pulls[:0]
-	for u := range e.actions {
-		e.x.validate(round, u, &e.actions[u])
-		switch e.actions[u].Kind {
-		case ActPush:
-			e.pushes = append(e.pushes, int32(u))
-		case ActPull:
-			e.pulls = append(e.pulls, int32(u))
-		}
-	}
+	// Validate actions against the topology and collect the delivery order.
+	e.pushes, e.pulls = e.x.Plan(round, e.actions, e.pushes, e.pulls)
 
 	// Push delivery phase, then pull phase, both in node-ID order.
-	for _, u := range e.pushes {
-		e.x.deliverPush(round, int(u), e.actions[u])
-	}
-	for _, u := range e.pulls {
-		e.x.resolvePull(round, int(u), e.actions[u])
-	}
+	e.x.carry(round, e.actions, e.pushes)
+	e.x.carry(round, e.actions, e.pulls)
 
-	e.x.endRound()
+	e.x.EndRound()
 	e.round++
 }
 
@@ -245,25 +226,12 @@ func (e *Engine) Step() {
 func (e *Engine) Run(maxRounds int) int {
 	start := e.round
 	for e.round-start < maxRounds {
-		if e.allDecided() {
+		if e.x.AllDecided(e.round) {
 			break
 		}
 		e.Step()
 	}
 	return e.round - start
-}
-
-func (e *Engine) allDecided() bool {
-	for i, a := range e.x.agents {
-		if e.x.silent(e.round, i) || a == nil {
-			continue
-		}
-		d, ok := a.(Decider)
-		if !ok || !d.Decided() {
-			return false
-		}
-	}
-	return true
 }
 
 // AsyncEngine implements the sequential GOSSIP model from the paper's second
@@ -272,17 +240,19 @@ func (e *Engine) allDecided() bool {
 // semantics (secure channels, quiescent faults, accounting) are the shared
 // executor's and therefore match Engine exactly.
 type AsyncEngine struct {
-	x      executor
-	active []int // indices of round-0-active nodes, for uniform waking
-	r      *rng.Source
-	tick   int
+	x       Executor
+	active  []int    // indices of round-0-active nodes, for uniform waking
+	actions []Action // the woken node's action, at its index
+	woken   [1]int32 // the tick's one-operation wave
+	r       *rng.Source
+	tick    int
 }
 
 // NewAsyncEngine builds a sequential-GOSSIP engine; sched drives the wake-up
 // choices. Panics mirror NewEngine's.
 func NewAsyncEngine(cfg Config, agents []Agent, sched *rng.Source) *AsyncEngine {
-	e := &AsyncEngine{r: sched}
-	e.x.init(cfg, agents)
+	e := &AsyncEngine{r: sched, actions: make([]Action, len(agents))}
+	e.x.Init(cfg, agents)
 	for i := range agents {
 		if !e.x.initial[i] {
 			e.active = append(e.active, i)
@@ -299,20 +269,21 @@ func (e *AsyncEngine) Tick() {
 	// A dynamic topology evolves once per tick (the sequential model's round),
 	// whether or not anyone wakes: the graph process is time's, not the
 	// agents'.
-	if e.x.dyn != nil && e.tick > 0 {
-		e.x.dyn.Advance(e.tick)
-	}
+	e.x.Advance(e.tick)
 	if len(e.active) == 0 {
 		e.tick++
 		return
 	}
 	u := e.active[e.r.Intn(len(e.active))]
-	if !e.x.silent(e.tick, u) {
-		a := e.x.agents[u].Act(e.tick)
-		e.x.validate(e.tick, u, &a)
-		e.x.exec(e.tick, u, a)
+	if !e.x.Silent(e.tick, u) {
+		a := &e.actions[u]
+		*a = e.x.agents[u].Act(e.tick)
+		if e.x.validate(e.tick, u, a); a.Kind != ActNone {
+			e.woken[0] = int32(u)
+			e.x.carry(e.tick, e.actions, e.woken[:])
+		}
 	}
-	e.x.endRound()
+	e.x.EndRound()
 	e.tick++
 }
 
@@ -344,4 +315,4 @@ func (e *AsyncEngine) TickCount() int { return e.tick }
 func (e *AsyncEngine) Counters() *metrics.Counters { return e.x.counters }
 
 // DroppedActions returns how many actions violated the topology.
-func (e *AsyncEngine) DroppedActions() int { return e.x.dropped }
+func (e *AsyncEngine) DroppedActions() int { return e.x.Dropped() }

@@ -24,10 +24,10 @@ const lossKeyIndex = 0x10557a6e
 // Loss is the keyed message-loss decision: whether a crossing is lost is a
 // pure function of a per-run key and the crossing's identity, not a draw from
 // a stream. It therefore does not matter when, in what order, or how often a
-// crossing is asked about — which is what lets every delivery layer (the
-// executor, the message-passing runtime's pipelined waves, a
-// fault-injecting transport) decide loss independently and still agree. The
-// zero value never loses anything.
+// crossing is asked about — which is what lets the executor decide a whole
+// wave before the message-passing runtime carries it, and a fault-injecting
+// transport decide its own losses independently, and still agree. The zero
+// value never loses anything.
 type Loss struct {
 	key  uint64
 	drop float64

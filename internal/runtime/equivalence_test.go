@@ -262,6 +262,73 @@ func TestFaultConduitPaths(t *testing.T) {
 	}
 }
 
+// TestRuntimeAccountingMatchesTranscript pins that the executor settles what
+// the transport lost exactly as it settles a keyed loss: with both loss
+// sources active, every push and pull in the transcript is counted once, every
+// event with a note is an unanswered pull, and a pull pays for its reply
+// whenever the target served one — answered, or lost on the way back. The
+// runtime's own delivery counts agree: a query reached its target exactly
+// when the target went on to answer, refuse, or lose the reply, and a reply
+// reached its puller exactly when the pull was answered.
+func TestRuntimeAccountingMatchesTranscript(t *testing.T) {
+	const seed = 5
+	for _, network := range []string{"channel", "unix"} {
+		t.Run(network, func(t *testing.T) {
+			var inner runtime.Conduit
+			if network != "channel" {
+				inner = socketConduit(t, network)
+			}
+			sc, _ := scenario.Lookup("lossy-links")
+			r, err := scenario.NewRunner(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := &trace.Memory{}
+			cfg := r.RunConfig(seed)
+			cfg.Trace = mem
+			res, live, err := runtime.Execute(context.Background(), cfg, runtime.Options{Conduit: runtime.NewFaultConduit(inner, seed, 0.1, 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want struct{ pushes, pulls, unanswered, messages int }
+			notes := map[trace.Kind]map[string]int{trace.KindPush: {}, trace.KindPull: {}}
+			for _, ev := range mem.Events() {
+				switch ev.Kind {
+				case trace.KindPush:
+					want.pushes++
+					want.messages++
+				case trace.KindPull:
+					want.pulls++
+					want.messages++ // the query
+					if ev.Note != "" {
+						want.unanswered++
+					}
+					if ev.Note == "" || ev.Note == "reply-lost" {
+						want.messages++ // the reply the target served
+					}
+				default:
+					continue
+				}
+				notes[ev.Kind][ev.Note]++
+			}
+			pulls := notes[trace.KindPull]
+			m := res.Metrics
+			if m.Pushes != want.pushes || m.Pulls != want.pulls || m.UnansweredPulls != want.unanswered || m.Messages != want.messages {
+				t.Fatalf("counters %+v disagree with the transcript %+v", m, want)
+			}
+			if queries := int64(pulls[""] + pulls["refused"] + pulls["reply-lost"]); live.Queries != queries {
+				t.Fatalf("%d queries delivered, the transcript says %d", live.Queries, queries)
+			}
+			if live.Replies != int64(pulls[""]) {
+				t.Fatalf("%d replies delivered, the transcript answers %d pulls", live.Replies, pulls[""])
+			}
+			if notes[trace.KindPush]["lost"] == 0 || pulls["query-lost"] == 0 || pulls["reply-lost"] == 0 || pulls[""] == 0 {
+				t.Fatalf("a loss kind never happened (%v) — the check proved nothing", notes)
+			}
+		})
+	}
+}
+
 // TestRuntimeTranscriptReproducible pins that two runtime executions of the
 // same seed are byte-identical to each other — determinism does not depend
 // on the simulator being around to compare against.

@@ -62,10 +62,14 @@ type Message struct {
 	SentAt time.Time
 }
 
-// classifyPush maps a push payload to its message kind: protocol votes get
-// their own kind, everything else (intentions, certificates) is a plain push.
-func classifyPush(p gossip.Payload) MsgKind {
-	switch p.(type) {
+// kindOf maps an operation's first crossing to its message kind: a pull's
+// query; a push of a protocol vote, which gets its own kind; or any other push
+// (intentions, certificates).
+func kindOf(a *gossip.Action) MsgKind {
+	if a.Kind == gossip.ActPull {
+		return MsgQuery
+	}
+	switch a.Payload.(type) {
 	case *core.Vote, core.Vote:
 		return MsgVote
 	}

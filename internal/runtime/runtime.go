@@ -11,18 +11,20 @@
 //
 // # Scheduling and transcript equivalence
 //
-// The coordinator is a deterministic round-barrier scheduler that mirrors
-// gossip.Engine.Step operation for operation: advance the dynamic topology
-// at the round boundary, fan RoundStart out to every active node and collect
-// their actions (the hosts run their ranges' Acts concurrently, like the
-// engine's parallel Act phase), validate against the topology in node order,
-// then deliver pushes and resolve pulls in ascending node-ID order. Message loss
-// (Config.Drop) is the simulator's keyed decision (gossip.Loss) under the same
-// key, so the runtime loses exactly the crossings the simulator loses. Agents
-// never emit trace events, so over any transport that loses nothing of its
-// own the runtime's transcript is byte-identical to the simulator's for the
-// same seed — every golden fixture and experiment finding carries over. See
-// the equivalence suite in this package's tests.
+// The coordinator is a deterministic round-barrier scheduler with exactly
+// gossip.Engine.Step's structure — advance the dynamic topology at the round
+// boundary, fan RoundStart out to every active node and collect their actions
+// (the hosts run their ranges' Acts concurrently, like the engine's parallel
+// Act phase), validate in node order, then deliver pushes and resolve pulls in
+// ascending node-ID order — and it restates none of the engine's semantics.
+// Validation, silence, keyed loss (Config.Drop), accounting, and trace
+// emission are gossip.Executor's: the coordinator asks the executor for every
+// operation's fate before dispatch and hands every outcome back to the
+// executor's settlement, so what the runtime adds is only the carrying. Agents
+// never emit trace events, so over any transport that loses nothing of its own
+// the runtime's transcript is byte-identical to the simulator's for the same
+// seed — every golden fixture and experiment finding carries over. The
+// equivalence suite in this package's tests is the regression net.
 //
 // # Hosted node ranges
 //
@@ -40,10 +42,10 @@
 // destination delivery order and coordinator-ordered observables. Every phase
 // of a round is dispatched as one pipelined wave through the conduit's Batch
 // (a conduit without the batch seam gets an adapter whose Add is Deliver):
-// loss is decided per crossing before dispatch — a keyed decision does not
-// care when it is asked — the whole delivery set is handed to the transport
-// without waiting per message, and results, trace events, and accounting are
-// settled at the barrier in the simulator's order. The transcript stays
+// fates are decided per crossing before dispatch — a keyed loss decision does
+// not care when it is asked — the whole delivery set is handed to the
+// transport without waiting per message, and the executor settles every
+// operation at the barrier in the simulator's order. The transcript stays
 // byte-identical while the transport coalesces frames and overlaps
 // acknowledgements. A pull phase is two waves: queries, then — once every
 // target's HandlePull result is in — the replies that survive their own loss
@@ -74,7 +76,6 @@ package runtime
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	stdruntime "runtime"
 	"sync"
@@ -128,18 +129,13 @@ type Config struct {
 }
 
 // Runtime drives a set of Nodes through synchronous rounds. It is the
-// deterministic round-barrier scheduler; all delivery decisions (loss,
-// silence, validation) happen here on the coordinator goroutine, while the
-// protocol handlers run on the host goroutines.
+// deterministic round-barrier scheduler and the runtime's carrier: the
+// coordinator goroutine asks its gossip.Executor for every delivery decision
+// and settles every operation through it, while the protocol handlers run on
+// the host goroutines.
 type Runtime struct {
-	topo     topo.Topology
-	dyn      topo.Dynamic // non-nil iff topo is a per-round graph process
-	agents   []gossip.Agent
-	faults   gossip.FaultSchedule
-	counters *metrics.Counters
-	sink     trace.Sink
-	loss     gossip.Loss
-	conduit  Conduit
+	x       gossip.Executor
+	conduit Conduit
 
 	nodes []Node // one slab; a faulty slot has a nil agent and no host
 	bar   *barrier
@@ -147,80 +143,28 @@ type Runtime struct {
 	halt  sync.Once
 
 	round   int
-	dropped int
-	tally   metrics.Delta
 	actions []gossip.Action
 	pushes  []int32
 	pulls   []int32
 
-	// Delivery-wave scratch, reused every round. rhead[id] is how far the
-	// coordinator has read into node id's reply FIFO.
-	batch  Batch
-	pfates []pushFate
-	precs  []pullRec
-	oks    []bool
-	rhead  []int
+	// Delivery-wave scratch, reused every round: the wave's outcomes, the
+	// flushed wave's results with next, the one arrived reads next, and
+	// rhead[id] — how far the coordinator has read into node id's reply FIFO.
+	batch Batch
+	out   []gossip.Outcome
+	oks   []bool
+	next  int
+	rhead []int
 
-	lat       stats.QuantileSketch
-	delivered int64
-	kinds     [msgKinds]int64
-}
-
-// pushFate is one push's — or one pull query's — disposition before
-// dispatch: the loss decision and the silence mask are consulted before
-// anything is handed to the transport.
-type pushFate uint8
-
-const (
-	pushSelf   pushFate = iota // local, free, rides the batch for FIFO order
-	pushLost                   // lost on the link (Config.Drop) before dispatch
-	pushSilent                 // target quiescent: cost paid, nothing sent
-	pushSent                   // dispatched; transport decides the rest
-)
-
-// pullRec is one pull's bookkeeping across the query and reply waves of a
-// pull phase. The final disposition (note, accounting) is settled at the
-// barrier so trace bytes come out in exactly the simulator's order.
-type pullRec struct {
-	fate      pushFate // the query's
-	note      string   // trace note of a failed pull; "" while it can still succeed
-	served    bool     // the target answered: the reply's cost is paid
-	replyBits int32    // accounted size of the served reply
-	w2        int32    // the reply's index in the wave-2 results, -1 if not dispatched
+	lat   stats.QuantileSketch
+	kinds [msgKinds]int64 // messages a mailbox accepted, by kind
 }
 
 // New validates cfg, builds the node set, and starts the host goroutines.
 // agents[i] is the agent at node i; entries for faulty nodes may be nil. It
-// panics on size mismatches, mirroring gossip.NewEngine. The caller must
-// eventually call Shutdown to stop the hosts.
+// panics on size mismatches, exactly as gossip.NewEngine does. The caller
+// must eventually call Shutdown to stop the hosts.
 func New(cfg Config, agents []gossip.Agent) *Runtime {
-	n := cfg.Topology.N()
-	if len(agents) != n {
-		panic(fmt.Sprintf("runtime: %d agents for %d nodes", len(agents), n))
-	}
-	faulty := cfg.Faulty
-	if faulty == nil {
-		faulty = make([]bool, n)
-	}
-	if len(faulty) != n {
-		panic(fmt.Sprintf("runtime: faulty mask has %d entries for %d nodes", len(faulty), n))
-	}
-	active := 0
-	for i, a := range agents {
-		if a != nil {
-			active++
-		} else if !faulty[i] {
-			panic(fmt.Sprintf("runtime: active node %d has no agent", i))
-		}
-	}
-	counters := cfg.Counters
-	if counters == nil {
-		counters = &metrics.Counters{}
-	}
-	var faults gossip.FaultSchedule = gossip.StaticFaults(faulty)
-	if cfg.Faults != nil {
-		faults = gossip.UnionFaults{faults, cfg.Faults}
-	}
 	conduit := cfg.Conduit
 	if conduit == nil {
 		conduit = ChannelConduit{}
@@ -229,22 +173,30 @@ func New(cfg Config, agents []gossip.Agent) *Runtime {
 	if mailbox <= 0 {
 		mailbox = DefaultMailbox
 	}
-
+	n := len(agents)
 	rt := &Runtime{
-		topo:     cfg.Topology,
-		agents:   agents,
-		faults:   faults,
-		counters: counters,
-		sink:     cfg.Trace,
-		loss:     gossip.NewLoss(cfg.Drop, cfg.DropRand),
-		conduit:  conduit,
-		batch:    newBatch(conduit),
-		nodes:    make([]Node, n),
-		bar:      newBarrier(),
-		actions:  make([]gossip.Action, n),
-		rhead:    make([]int, n),
+		conduit: conduit,
+		batch:   newBatch(conduit),
+		nodes:   make([]Node, n),
+		bar:     newBarrier(),
+		actions: make([]gossip.Action, n),
+		rhead:   make([]int, n),
 	}
-	rt.dyn, _ = cfg.Topology.(topo.Dynamic)
+	rt.x.Init(gossip.Config{
+		Topology: cfg.Topology,
+		Faulty:   cfg.Faulty,
+		Faults:   cfg.Faults,
+		Counters: cfg.Counters,
+		Trace:    cfg.Trace,
+		Drop:     cfg.Drop,
+		DropRand: cfg.DropRand,
+	}, agents)
+	active := 0
+	for _, a := range agents {
+		if a != nil {
+			active++
+		}
+	}
 	replies := make([]gossip.Payload, n*slotCap)
 	lats := make([]time.Duration, n*slotCap)
 	width := min(stdruntime.GOMAXPROCS(0), active)
@@ -285,7 +237,7 @@ func (rt *Runtime) Round() int { return rt.round }
 
 // DroppedActions returns how many actions were discarded because they
 // addressed a non-neighbor or an out-of-range node.
-func (rt *Runtime) DroppedActions() int { return rt.dropped }
+func (rt *Runtime) DroppedActions() int { return rt.x.Dropped() }
 
 // Shutdown stops every host goroutine and waits for them to exit, then
 // closes the conduit if it holds transport resources (implements io.Closer)
@@ -310,6 +262,10 @@ var ErrShutdown = errors.New("runtime: shut down during Run")
 // cut the run short, or ErrShutdown if a concurrent Shutdown did (mid-round:
 // Live and the trace then include part of a round that was never counted).
 // The caller still owns Shutdown.
+//
+// Reading agent state between rounds (AllDecided) is race-free: every agent
+// mutation happens on its host before the completion the coordinator's last
+// barrier counted.
 func (rt *Runtime) Run(ctx context.Context, maxRounds int) (int, error) {
 	start := rt.round
 	done := ctx.Done()
@@ -319,7 +275,7 @@ func (rt *Runtime) Run(ctx context.Context, maxRounds int) (int, error) {
 			return rt.round - start, ctx.Err()
 		default:
 		}
-		if rt.allDecided() {
+		if rt.x.AllDecided(rt.round) {
 			break
 		}
 		if !rt.step() {
@@ -331,46 +287,19 @@ func (rt *Runtime) Run(ctx context.Context, maxRounds int) (int, error) {
 
 // Live reports the runtime-layer observables of the execution so far.
 func (rt *Runtime) Live(wall time.Duration) metrics.Live {
+	k := &rt.kinds
 	return metrics.Live{
 		WallClock:  wall,
 		Rounds:     rt.round,
-		Delivered:  rt.delivered,
-		Pushes:     rt.kinds[MsgPush],
-		Votes:      rt.kinds[MsgVote],
-		Queries:    rt.kinds[MsgQuery],
-		Replies:    rt.kinds[MsgReply],
+		Delivered:  k[MsgPush] + k[MsgVote] + k[MsgQuery] + k[MsgReply],
+		Pushes:     k[MsgPush],
+		Votes:      k[MsgVote],
+		Queries:    k[MsgQuery],
+		Replies:    k[MsgReply],
 		LatencyP50: time.Duration(rt.lat.Quantile(0.50)),
 		LatencyP99: time.Duration(rt.lat.Quantile(0.99)),
 		LatencyMax: time.Duration(rt.lat.Max()),
 	}
-}
-
-// silent reports whether node u is quiescent at round r.
-func (rt *Runtime) silent(r, u int) bool {
-	return rt.agents[u] == nil || rt.faults.Silent(r, u)
-}
-
-func (rt *Runtime) emit(ev trace.Event) {
-	if rt.sink != nil {
-		rt.sink.Emit(ev)
-	}
-}
-
-// allDecided mirrors gossip.Engine: currently-silent nodes do not block
-// termination. Reading agent state here is race-free — every agent mutation
-// happens on its host goroutine before the completion the coordinator's
-// last barrier counted.
-func (rt *Runtime) allDecided() bool {
-	for i, a := range rt.agents {
-		if rt.silent(rt.round, i) || a == nil {
-			continue
-		}
-		d, ok := a.(gossip.Decider)
-		if !ok || !d.Decided() {
-			return false
-		}
-	}
-	return true
 }
 
 // step executes one synchronous round with exactly the engine's structure:
@@ -379,16 +308,14 @@ func (rt *Runtime) allDecided() bool {
 // round uncounted, when Shutdown cut it short.
 func (rt *Runtime) step() bool {
 	round := rt.round
-	if rt.dyn != nil && round > 0 {
-		rt.dyn.Advance(round)
-	}
+	rt.x.Advance(round)
 
 	// Act fan-out: the hosts compute their active nodes' actions concurrently;
 	// silent nodes contribute NoAction without being sent anything, so their
 	// RNG streams stay untouched (exactly the engine's act()).
 	pending := 0
-	for i := range rt.agents {
-		if rt.silent(round, i) {
+	for i := range rt.nodes {
+		if rt.x.Silent(round, i) {
 			rt.actions[i] = gossip.NoAction()
 			continue
 		}
@@ -400,18 +327,7 @@ func (rt *Runtime) step() bool {
 		return false
 	}
 
-	rt.pushes = rt.pushes[:0]
-	rt.pulls = rt.pulls[:0]
-	for u := range rt.actions {
-		rt.validate(round, u, &rt.actions[u])
-		switch rt.actions[u].Kind {
-		case gossip.ActPush:
-			rt.pushes = append(rt.pushes, int32(u))
-		case gossip.ActPull:
-			rt.pulls = append(rt.pulls, int32(u))
-		}
-	}
-
+	rt.pushes, rt.pulls = rt.x.Plan(round, rt.actions, rt.pushes, rt.pulls)
 	rt.pushWave(round)
 	rt.pullWaves(round)
 	if rt.bar.stopped.Load() {
@@ -426,24 +342,57 @@ func (rt *Runtime) step() bool {
 		}
 		n.lats = n.lats[:0]
 	}
-	rt.tally.AddRound()
-	rt.counters.AddDelta(0, rt.tally)
-	rt.tally = metrics.Delta{}
+	rt.x.EndRound()
 	rt.round++
 	return true
 }
 
-// validate enforces the topology on one action, tracing drops like the
-// engine does.
-func (rt *Runtime) validate(round, u int, a *gossip.Action) {
-	if a.Kind == gossip.ActNone {
-		return
+// dispatch adds message m for node to to the wave when fate f says it is
+// carried: a sent message crosses the conduit, timed; a self-operation rides
+// the batch untimed, since a direct mailbox send could overtake the wave's
+// in-flight deliveries to the same node.
+func (rt *Runtime) dispatch(f gossip.Fate, to int, m Message, now time.Time) {
+	switch f {
+	case gossip.FateSent:
+		m.SentAt = now
+		fallthrough
+	case gossip.FateSelf:
+		rt.batch.Add(&rt.nodes[to], m)
 	}
-	if a.To < 0 || a.To >= len(rt.agents) || !rt.topo.CanSend(u, a.To) {
-		rt.dropped++
-		rt.emit(trace.Event{Round: round, Kind: trace.KindDrop, From: u, To: a.To})
-		*a = gossip.NoAction()
+}
+
+// flushWave forces the staged wave out, keeps its results for arrived, and
+// waits until every delivery that reached a mailbox, and the direct sends
+// made beside the wave, have been handled — or reports false on Shutdown.
+func (rt *Runtime) flushWave(direct int) bool {
+	rt.oks = append(rt.oks[:0], rt.batch.Flush()...)
+	rt.next = 0
+	for _, ok := range rt.oks {
+		if ok {
+			direct++
+		}
 	}
+	return rt.bar.await(direct)
+}
+
+// arrived returns the fate to settle an operation of fate f with, consuming
+// its result from the flushed wave when dispatch carried it — operations are
+// asked about in dispatch order. A sent message the transport lost becomes
+// FateLost; one a mailbox accepted is counted as a delivery of kind k.
+func (rt *Runtime) arrived(f gossip.Fate, k MsgKind) gossip.Fate {
+	if !f.Carried() {
+		return f
+	}
+	ok := rt.oks[rt.next]
+	rt.next++
+	switch {
+	case f == gossip.FateSelf:
+		return f
+	case !ok:
+		return gossip.FateLost
+	}
+	rt.kinds[k]++
+	return f
 }
 
 // popReply consumes node id's next HandlePull result, rewinding the FIFO once
@@ -460,214 +409,83 @@ func (rt *Runtime) popReply(id int) gossip.Payload {
 	return reply
 }
 
-// flushWave forces the staged wave out, keeps its results in rt.oks, and
-// waits until every delivery that reached a mailbox, and the direct sends
-// made beside the wave, have been handled — or reports false on Shutdown.
-func (rt *Runtime) flushWave(direct int) bool {
-	rt.oks = append(rt.oks[:0], rt.batch.Flush()...)
-	for _, ok := range rt.oks {
-		if ok {
-			direct++
-		}
+// firstLeg has the executor decide the first crossing of every operation in
+// ids — the round's pushes, or its pulls' queries — dispatches every one that
+// travels as one pipelined wave, and waits for the wave at the barrier.
+// rt.out then holds the outcomes, in ids order, for arrived to complete.
+func (rt *Runtime) firstLeg(round int, ids []int32) bool {
+	rt.out = rt.out[:0]
+	now := time.Now()
+	for _, u := range ids {
+		a := &rt.actions[u]
+		f := rt.x.Decide(round, int(u), a)
+		rt.dispatch(f, a.To, Message{Kind: kindOf(a), Round: round, From: int(u), Payload: a.Payload}, now)
+		rt.out = append(rt.out, gossip.Outcome{Fate: f})
 	}
-	return rt.bar.await(direct)
+	return rt.flushWave(0)
 }
 
-// pushWave delivers the round's push set as one pipelined wave with the
-// executor's semantics: a self-push is local and free; a non-self push always
-// incurs its cost, may be lost on the link (loss decision or transport), and
-// lands in the void when the target is quiescent. Fates are decided in sender
-// order, every surviving push is dispatched without a per-message wait, and
-// accounting plus trace events are settled at the barrier in sender order —
-// the simulator's transcript. Self-pushes ride the batch too (untimed,
-// untallied): a direct mailbox send could overtake the wave's in-flight
-// deliveries to the same node and reorder HandlePush.
+// pushWave carries the round's pushes as one pipelined wave and hands them to
+// the executor's settlement in sender order — the simulator's transcript.
 func (rt *Runtime) pushWave(round int) {
-	if len(rt.pushes) == 0 {
+	if len(rt.pushes) == 0 || !rt.firstLeg(round, rt.pushes) {
 		return
 	}
-	rt.pfates = rt.pfates[:0]
-	now := time.Now()
-	for _, u32 := range rt.pushes {
-		u := int(u32)
-		a := rt.actions[u]
-		switch {
-		case u == a.To:
-			rt.batch.Add(&rt.nodes[u], Message{Kind: classifyPush(a.Payload), Round: round, From: u, Payload: a.Payload})
-			rt.pfates = append(rt.pfates, pushSelf)
-		case rt.loss.Lost(round, u, a.To, gossip.LegPush):
-			rt.pfates = append(rt.pfates, pushLost)
-		case rt.silent(round, a.To):
-			rt.pfates = append(rt.pfates, pushSilent)
-		default:
-			rt.batch.Add(&rt.nodes[a.To], Message{Kind: classifyPush(a.Payload), Round: round, From: u, Payload: a.Payload, SentAt: now})
-			rt.pfates = append(rt.pfates, pushSent)
-		}
-	}
-	if !rt.flushWave(0) {
-		return
-	}
-
-	// Barrier settlement, in sender order — the simulator's order.
-	j := 0
-	for i, u32 := range rt.pushes {
-		u := int(u32)
-		a := rt.actions[u]
-		fate := rt.pfates[i]
-		if fate == pushSelf {
-			j++
-			continue
-		}
-		rt.tally.AddPush()
-		rt.tally.AddMessage(gossip.PayloadBits(a.Payload))
-		switch fate {
-		case pushLost:
-			rt.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To, Note: "lost"})
-		case pushSilent:
-			rt.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To})
-		case pushSent:
-			ok := rt.oks[j]
-			j++
-			if !ok {
-				rt.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To, Note: "lost"})
-				continue
-			}
-			rt.delivered++
-			rt.kinds[classifyPush(a.Payload)]++
-			rt.emit(trace.Event{Round: round, Kind: trace.KindPush, From: u, To: a.To})
-		}
+	for i, u := range rt.pushes {
+		a := &rt.actions[u]
+		rt.x.SettlePush(round, int(u), a, rt.arrived(rt.out[i].Fate, kindOf(a)))
 	}
 }
 
-// pullWaves resolves the round's pull set — query out, optional reply back —
-// in two pipelined waves with the executor's semantics and trace notes. Wave 1
-// dispatches every query that survives its loss decision — self-pulls ride
-// the batch for mailbox-order safety, quiescent targets dispatch nothing — and
-// collects the targets' HandlePull results at the barrier. The resolution
-// pass then walks pullers in ascending order, matching replies per-target
-// FIFO, and assembles wave 2: a served reply that survives its own loss
-// decision crosses the conduit (timed), while the nil reply a failed pull
-// produces — the same observation a quiescent target gives — goes straight to
-// the puller's mailbox: it is not a link crossing, so the transport gets no
-// chance to delay or drop it. Wave 2 has at most one message per puller, so no
-// ordering hazard remains. Accounting and trace events are settled last, in
-// puller order; a puller whose reply the transport lost gets its nil there.
+// pullWaves carries the round's pulls — query out, optional reply back — in
+// two pipelined waves. The query wave's barrier collects the targets'
+// HandlePull results. The resolution pass then walks pullers in ascending
+// order, matching replies per-target FIFO, and has the executor Answer each
+// delivered query: a reply that survives crosses the conduit in the reply wave
+// (timed), while the nil reply a failed pull produces — the same observation a
+// quiescent target gives — goes straight to the puller's mailbox: it is not a
+// link crossing, so the transport gets no chance to delay or drop it. The
+// reply wave has at most one message per puller, so no ordering hazard
+// remains. A puller whose reply the transport lost gets its nil last, and the
+// executor settles every pull in puller order.
 func (rt *Runtime) pullWaves(round int) {
-	if len(rt.pulls) == 0 {
+	if len(rt.pulls) == 0 || !rt.firstLeg(round, rt.pulls) {
 		return
 	}
-	rt.precs = rt.precs[:0]
 	now := time.Now()
-	for _, u32 := range rt.pulls {
-		u := int(u32)
-		a := rt.actions[u]
-		switch {
-		case u == a.To:
-			rt.batch.Add(&rt.nodes[u], Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload})
-			rt.precs = append(rt.precs, pullRec{fate: pushSelf})
-		case rt.loss.Lost(round, u, a.To, gossip.LegQuery):
-			rt.precs = append(rt.precs, pullRec{fate: pushLost, note: "query-lost"})
-		case rt.silent(round, a.To):
-			rt.precs = append(rt.precs, pullRec{fate: pushSilent, note: "no-reply"})
-		default:
-			rt.batch.Add(&rt.nodes[a.To], Message{Kind: MsgQuery, Round: round, From: u, Payload: a.Payload, SentAt: now})
-			rt.precs = append(rt.precs, pullRec{fate: pushSent})
-		}
-	}
-	if !rt.flushWave(0) {
-		return
-	}
-
-	// Resolution pass, in puller order: match each delivered query to its
-	// target's queued HandlePull result and dispatch the reply wave.
-	now = time.Now()
-	w2 := int32(0)
 	notifies := 0
-	j := 0
-	for i := range rt.precs {
-		u := int(rt.pulls[i])
-		a := rt.actions[u]
-		rec := &rt.precs[i]
-		rec.w2 = -1
+	for i, u := range rt.pulls {
+		a, o := &rt.actions[u], &rt.out[i]
 		var reply gossip.Payload
-		switch rec.fate {
-		case pushSelf:
-			j++
-			continue
-		case pushSent:
-			reply = rt.answer(round, u, a.To, rt.oks[j], rec)
-			j++
+		switch o.Fate = rt.arrived(o.Fate, MsgQuery); o.Fate {
+		case gossip.FateSelf:
+			continue // resolved on the puller's host
+		case gossip.FateSent:
+			reply = rt.x.Answer(round, int(u), a, rt.popReply(a.To), o)
 		}
 		if reply == nil {
-			// A failed pull: the puller observes silence.
-			if rt.notify(round, u, a.To) {
+			if rt.notify(round, int(u), a.To) {
 				notifies++
 			}
 			continue
 		}
-		rec.w2 = w2
-		w2++
 		rt.batch.Add(&rt.nodes[u], Message{Kind: MsgReply, Round: round, From: a.To, Payload: reply, SentAt: now})
 	}
 	if !rt.flushWave(notifies) {
 		return
 	}
 
-	// Barrier settlement, in puller order — the simulator's order.
 	notifies = 0
-	for i := range rt.precs {
-		u := int(rt.pulls[i])
-		a := rt.actions[u]
-		rec := &rt.precs[i]
-		if rec.fate == pushSelf {
-			continue // local and free: no cost, no trace
-		}
-		rt.tally.AddMessage(gossip.PayloadBits(a.Payload))
-		if rec.served {
-			rt.tally.AddMessage(int(rec.replyBits))
-		}
-		if rec.w2 >= 0 {
-			if rt.oks[rec.w2] {
-				rt.delivered++
-				rt.kinds[MsgReply]++
-				rt.tally.AddPull(true)
-				rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To})
-				continue
-			}
-			// The transport lost the reply after the target served it.
-			rec.note = "reply-lost"
-			if rt.notify(round, u, a.To) {
+	for i, u := range rt.pulls {
+		a, o := &rt.actions[u], &rt.out[i]
+		if o.Reply == gossip.FateSent {
+			if o.Reply = rt.arrived(o.Reply, MsgReply); o.Reply == gossip.FateLost && rt.notify(round, int(u), a.To) {
 				notifies++
 			}
 		}
-		rt.tally.AddPull(false)
-		rt.emit(trace.Event{Round: round, Kind: trace.KindPull, From: u, To: a.To, Note: rec.note})
+		rt.x.SettlePull(round, int(u), a, *o)
 	}
 	rt.bar.await(notifies)
-}
-
-// answer settles what came of u's dispatched query: the reply to carry back
-// in wave 2, or nil with rec.note saying why there is none — the transport
-// lost the query, the target refused, or the served reply is lost on the link.
-func (rt *Runtime) answer(round, u, to int, delivered bool, rec *pullRec) gossip.Payload {
-	if !delivered {
-		rec.note = "query-lost"
-		return nil
-	}
-	rt.delivered++
-	rt.kinds[MsgQuery]++
-	reply := rt.popReply(to)
-	if reply == nil {
-		rec.note = "refused"
-		return nil
-	}
-	rec.served = true
-	rec.replyBits = int32(gossip.PayloadBits(reply))
-	if rt.loss.Lost(round, to, u, gossip.LegReply) {
-		rec.note = "reply-lost"
-		return nil
-	}
-	return reply
 }
 
 // notify hands puller u the nil reply of a failed pull from target to,

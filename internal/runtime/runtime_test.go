@@ -209,7 +209,7 @@ func TestFaultConduitDrops(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt.Shutdown()
-		return rt.delivered
+		return rt.Live(0).Delivered
 	}
 	clean := delivered(nil)
 	lossy := delivered(NewFaultConduit(nil, 9, 0.3, 0))
