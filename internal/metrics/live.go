@@ -10,8 +10,8 @@ import (
 // latency. The simulator's round/message counters (Snapshot) measure the
 // protocol; Live measures the runtime executing it. Latency quantiles are
 // streaming estimates (stats.QuantileSketch) over every payload message the
-// conduit carried — pushes, votes, pull queries, and pull replies — measured
-// send-to-handler.
+// conduit carried — pushes, votes, pull queries, and pull replies — each
+// measured from its send stamp to the start of the host batch that handles it.
 type Live struct {
 	// WallClock is the total execution time of the run.
 	WallClock time.Duration

@@ -66,9 +66,10 @@ type BatchConduit interface {
 // until the next Add or Flush; the batch is empty and reusable afterwards.
 //
 // Add may still block on destination-mailbox backpressure (the channel
-// transport hands off directly; the socket transport's server blocks the
-// connection, not the caller) — what it never does is wait for a transport
-// acknowledgement, which is what Flush settles in bulk.
+// transport when it hands a chunk to a full host queue; the socket
+// transport's server blocks the connection, not the caller) — what it never
+// does is wait for a transport acknowledgement, which is what Flush settles
+// in bulk.
 type Batch interface {
 	Add(dst *Node, m Message)
 	Flush() []bool
@@ -83,9 +84,77 @@ type ChannelConduit struct{}
 // Deliver hands the message straight to the destination node.
 func (ChannelConduit) Deliver(dst *Node, m Message) bool { return dst.Send(m) }
 
-// NewBatch implements BatchConduit: a direct handoff has nothing to
-// coalesce, so the channel batch is the Deliver adapter.
-func (c ChannelConduit) NewBatch() Batch { return &deliverBatch{c: c} }
+// NewBatch implements BatchConduit: the returned batch hands a wave to the
+// hosts in per-host chunks (see handOver) — one lock per chunk instead of one
+// Send per message.
+func (ChannelConduit) NewBatch() Batch { return &handOver{} }
+
+// handOverChunk is how many staged entries a handOver gives a host in one
+// putAll. It trades lock traffic against overlap: a wave addresses about one
+// message per node, so a chunk pays one lock and at most one wake-up for 64
+// messages, while a host serving 128 or more nodes still gets its first chunk
+// of a wave long before the coordinator has dispatched all of it. On a 2-vCPU
+// Xeon, BenchmarkRuntimeRound/n=1024 at -cpu 2 read 16 through 256 within
+// noise of each other (64 the best median), 4 about 10 % slower, a chunk
+// handed over only at Flush about 20 % slower, and one Send per message
+// about 60 % slower.
+const handOverChunk = 64
+
+// handOver is the channel transport's batch and the coordinator's own for the
+// round fan-out: Add stages the message for the destination's host, a stage
+// that reaches handOverChunk entries is handed over whole, and Flush hands
+// over every remainder. A stage keeps Add order and a node has one host, so
+// per-destination FIFO holds. A delivery is accepted unless Shutdown cut its
+// putAll short; those entries, and every later one, report false.
+type handOver struct {
+	stages  []hostStage // indexed by host.idx
+	results []bool
+}
+
+// hostStage is one host's staged entries, each with its index in results.
+type hostStage struct {
+	h    *host
+	msgs []hostMsg
+	idxs []int32
+}
+
+func (b *handOver) Add(dst *Node, m Message) {
+	h := dst.host
+	if h.idx >= len(b.stages) {
+		b.stages = append(b.stages, make([]hostStage, h.idx+1-len(b.stages))...)
+	}
+	st := &b.stages[h.idx]
+	if st.h != h { // first use, or a host of another runtime held the slot
+		b.give(st)
+		st.h = h
+	}
+	st.msgs = append(st.msgs, hostMsg{dst, m})
+	st.idxs = append(st.idxs, int32(len(b.results)))
+	b.results = append(b.results, true)
+	if len(st.msgs) == handOverChunk {
+		b.give(st)
+	}
+}
+
+// give hands a stage to its host and marks what the host refused.
+func (b *handOver) give(st *hostStage) {
+	if len(st.msgs) == 0 {
+		return
+	}
+	for _, i := range st.idxs[st.h.putAll(st.msgs):] {
+		b.results[i] = false
+	}
+	st.msgs, st.idxs = st.msgs[:0], st.idxs[:0]
+}
+
+func (b *handOver) Flush() []bool {
+	for i := range b.stages {
+		b.give(&b.stages[i])
+	}
+	r := b.results
+	b.results = b.results[:0]
+	return r
+}
 
 // deliverBatch adapts a plain Conduit to the batch seam: each Add is one
 // Deliver, its result recorded in Add order. Nothing is coalesced, so what
@@ -193,8 +262,14 @@ func (c *FaultConduit) Deliver(dst *Node, m Message) bool {
 
 // NewBatch implements BatchConduit by decorating the inner transport's batch:
 // a dropped message never reaches it, and Flush folds the inner results back
-// into Add order.
+// into Add order. With jitter, each Add sleeps its message's delay on the
+// dispatching goroutine, so an inner batch that stages messages would count
+// the later messages' delays as this one's latency; such a wave is delivered
+// one Deliver at a time instead, each message as soon as its own delay is over.
 func (c *FaultConduit) NewBatch() Batch {
+	if c.jitter > 0 {
+		return &deliverBatch{c: c}
+	}
 	return &faultBatch{c: c, inner: newBatch(c.inner)}
 }
 

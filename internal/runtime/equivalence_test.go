@@ -373,6 +373,34 @@ func TestRuntimeLiveReport(t *testing.T) {
 	}
 }
 
+// TestRuntimeLiveLatency pins that the latency a host measures against its one
+// clock reading per batch stays a real, ordered distribution on every
+// transport: strictly positive at the median and p50 ≤ p99 ≤ max, through the
+// in-process channel hand-over and through a Unix-domain socket.
+func TestRuntimeLiveLatency(t *testing.T) {
+	sc, _ := scenario.Lookup("baseline")
+	r, err := scenario.NewRunner(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, transport := range []string{"channel", "unix"} {
+		t.Run(transport, func(t *testing.T) {
+			var opts runtime.Options
+			if transport != "channel" {
+				opts.Conduit = socketConduit(t, transport)
+			}
+			_, live, err := runtime.Execute(context.Background(), r.RunConfig(5), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !(0 < live.LatencyP50 && live.LatencyP50 <= live.LatencyP99 && live.LatencyP99 <= live.LatencyMax) {
+				t.Fatalf("latency quantiles not 0 < p50 <= p99 <= max: p50=%v p99=%v max=%v",
+					live.LatencyP50, live.LatencyP99, live.LatencyMax)
+			}
+		})
+	}
+}
+
 func head(b []byte) []byte {
 	const lines = 5
 	idx := 0

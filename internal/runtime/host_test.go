@@ -39,12 +39,13 @@ func (a *seqAgent) HandlePush(round, from int, _ gossip.Payload) {
 }
 
 // TestHostFIFOConcurrentSenders is the socket-listener case: eight goroutines
-// that are not the coordinator Send sequence-numbered messages into the nodes
+// that are not the coordinator send sequence-numbered messages into the nodes
 // of one host's range while that host drains, through a queue small enough
-// that they block on it constantly. Every message must be accepted and
-// handled, and each node must see each sender's messages in the order that
-// sender sent them — per-node FIFO is what a Batch's per-destination order and
-// the transcript rest on.
+// that they block on it constantly — half of them one Send at a time, half
+// through a channel batch whose chunks enter the queue a few entries per
+// append. Every message must be accepted and handled, and each node must see
+// each sender's messages in the order that sender sent them — per-node FIFO is
+// what a Batch's per-destination order and the transcript rest on.
 func TestHostFIFOConcurrentSenders(t *testing.T) {
 	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(2))
 	const n, senders, each = 8, 8, 500
@@ -63,6 +64,16 @@ func TestHostFIFOConcurrentSenders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if g%2 == 1 {
+				b := ChannelConduit{}.NewBatch()
+				for seq := 0; seq < each; seq++ {
+					b.Add(rt.Node(seq%targets), Message{Kind: MsgPush, Round: seq, From: g})
+				}
+				if got := accepted(b.Flush()); got != each {
+					t.Errorf("sender %d: %d of %d messages accepted", g, got, each)
+				}
+				return
+			}
 			for seq := 0; seq < each; seq++ {
 				if !rt.Node(seq % targets).Send(Message{Kind: MsgPush, Round: seq, From: g}) {
 					t.Errorf("sender %d: message %d refused", g, seq)
@@ -241,4 +252,121 @@ func TestBarrierRandomBatches(t *testing.T) {
 		close(work[w])
 	}
 	wg.Wait()
+}
+
+// TestHandOverFIFO pins per-destination order through the channel batch: a
+// wave of sequence-numbered pushes to random nodes of several-node hosts,
+// long enough that every host's stage fills and is handed over many times, so
+// chunk boundaries fall at different points of each node's stream. Every
+// delivery must be accepted and each node must handle its messages in Add
+// order — also when the queue bound is smaller than a chunk (Mailbox: 1), so a
+// chunk enters its queue a few entries at a time.
+func TestHandOverFIFO(t *testing.T) {
+	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(2))
+	const n, wave = 8, 20 * handOverChunk
+	for _, mailbox := range []int{0, 1} {
+		t.Run(fmt.Sprintf("mailbox=%d", mailbox), func(t *testing.T) {
+			agents := make([]gossip.Agent, n)
+			for i := range agents {
+				agents[i] = &seqAgent{got: make([][]int, 1)}
+			}
+			rt := New(Config{Topology: topo.NewComplete(n), Mailbox: mailbox}, agents)
+			defer rt.Shutdown()
+			if got := len(hostsOf(rt)); got != 2 {
+				t.Fatalf("%d hosts at GOMAXPROCS 2, want 2", got)
+			}
+			if mailbox == 1 && hostsOf(rt)[0].limit >= handOverChunk {
+				t.Fatalf("queue bound %d does not undercut the chunk", hostsOf(rt)[0].limit)
+			}
+			r := rand.New(rand.NewSource(int64(mailbox) + 5))
+			want := make([][]int, n)
+			b := ChannelConduit{}.NewBatch()
+			for seq := 0; seq < wave; seq++ {
+				id := r.Intn(n)
+				want[id] = append(want[id], seq)
+				b.Add(rt.Node(id), Message{Kind: MsgPush, Round: seq})
+			}
+			oks := b.Flush()
+			if len(oks) != wave || accepted(oks) != wave {
+				t.Fatalf("%d results, %d accepted; want all %d", len(oks), accepted(oks), wave)
+			}
+			if !rt.bar.await(wave) {
+				t.Fatal("runtime stopped under the test")
+			}
+			for id := range agents {
+				if got := agents[id].(*seqAgent).got[0]; !reflect.DeepEqual(got, want[id]) {
+					t.Fatalf("node %d handled %v, want Add order %v", id, got, want[id])
+				}
+			}
+		})
+	}
+}
+
+// TestHandOverShutdown pins shutdown under a blocked hand-over: the only host
+// is stuck in a handler, a batch's first full chunk fills its queue and blocks
+// in putAll, and Shutdown must release it promptly — before the handler
+// returns. Flush then reports, in Add order, the entries the queue took as
+// accepted and every other one, staged or still to be Added, as false.
+func TestHandOverShutdown(t *testing.T) {
+	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(1))
+	const n, wave = 8, 2*handOverChunk + 5
+	before := goroutines()
+	setup := testConfig(t, n, 29)
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	agents := make([]gossip.Agent, n)
+	for i, a := range setup.Agents {
+		agents[i] = &gatedAgent{Agent: a, entered: entered, release: release}
+	}
+	rt := New(Config{Topology: setup.Net, Mailbox: 1}, agents)
+	h := hostsOf(rt)[0]
+	rt.Node(0).Send(Message{Kind: MsgRound})
+	<-entered // the host is inside Act; nothing drains its queue
+
+	results := make(chan []bool, 1)
+	go func() {
+		b := ChannelConduit{}.NewBatch()
+		for i := 0; i < wave; i++ {
+			b.Add(rt.Node(i%n), Message{Kind: MsgReply, From: i})
+		}
+		results <- append([]bool(nil), b.Flush()...)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for queued(h) < h.limit {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue holds %d, never reached its bound %d", queued(h), h.limit)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-results:
+		t.Fatal("a hand-over into a full queue did not block")
+	case <-time.After(50 * time.Millisecond):
+	}
+	shut := make(chan struct{})
+	go func() {
+		rt.Shutdown()
+		close(shut)
+	}()
+	var oks []bool
+	select {
+	case oks = <-results:
+	case <-time.After(time.Second):
+		t.Fatal("a blocked hand-over did not return on Shutdown")
+	}
+	if len(oks) != wave {
+		t.Fatalf("%d results for %d Adds", len(oks), wave)
+	}
+	for i, ok := range oks {
+		if ok != (i < h.limit) {
+			t.Fatalf("result %d = %v; want the %d the queue took accepted, then only false", i, ok, h.limit)
+		}
+	}
+	close(release)
+	select {
+	case <-shut:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown hung once the handler returned")
+	}
+	waitForGoroutines(t, before)
 }

@@ -57,8 +57,9 @@ type Message struct {
 	From    int
 	Payload gossip.Payload
 	// SentAt is stamped when the message enters the conduit; zero for
-	// scheduler-internal traffic. The receiving node measures delivery
-	// latency against it.
+	// scheduler-internal traffic. Delivery latency runs from it to the clock
+	// reading the receiving node's host takes at the start of the batch
+	// that handles the message.
 	SentAt time.Time
 }
 

@@ -29,8 +29,8 @@
 // destination FIFO order the round-barrier coordinator depends on — and
 // answers with a single batch ack carrying the frame's sequence number, whose
 // bitmap holds each body's mailbox result (bit i, LSB-first in byte i/8, is
-// body i's Send result: set only once the destination mailbox accepted the
-// message). Message bodies are self-delimiting, so the batch carries no
+// body i's hand-over result: set only once the destination mailbox accepted
+// the message). Message bodies are self-delimiting, so the batch carries no
 // per-body length. Types 1 and 2 were the single-message frame and its ack of
 // an earlier generation; nothing speaks them any more, and like every unknown
 // type they are connection-fatal. SentAt crosses the wire as monotonic ticks

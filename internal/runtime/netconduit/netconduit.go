@@ -169,9 +169,9 @@ func (c *SocketConduit) register(dst *runtime.Node) {
 // Close shuts the conduit down: stop accepting, close every connection in
 // both directions, wait for all conduit goroutines, and remove the unix
 // socket's temp directory. Idempotent. Pending deliveries fail as losses. Close
-// after the runtime's nodes have stopped (Runtime.Shutdown's order): a node
-// blocked in a mailbox Send holds its inbound connection's read loop until
-// the node's stop channel releases it.
+// after the runtime's nodes have stopped (Runtime.Shutdown's order): a frame
+// blocked handing messages to a full host queue holds its inbound
+// connection's read loop until the runtime's shutdown releases it.
 func (c *SocketConduit) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.closed)
@@ -258,17 +258,20 @@ func (c *SocketConduit) dropConn(conn net.Conn) {
 }
 
 // serve is the inbound half of the round trip: read batch frames, decode each
-// one streaming — every body Sent into its destination node's mailbox in
-// order, preserving per-destination FIFO — and answer it with one bitmap ack
-// of the Send results. Any malformed frame, and any frame type but a batch, is
-// connection-fatal — the peer's pending deliveries fail as losses and the
-// conduit stays up for the next connection — so garbage on the wire can never
-// wedge the coordinator.
+// one streaming — every body Added, in order, to the connection's channel
+// batch, which hands the frame to the destination nodes' hosts in per-host
+// chunks and so preserves per-destination FIFO — and answer it with one bitmap
+// ack of the Flush results. Any malformed frame, and any frame type but a
+// batch, is connection-fatal — the peer's pending deliveries fail as losses
+// and the conduit stays up for the next connection — so garbage on the wire
+// can never wedge the coordinator.
 func (c *SocketConduit) serve(conn net.Conn) {
 	defer c.wg.Done()
 	defer c.dropConn(conn)
 	var buf, out, bits []byte
 	var cache paramsCache
+	batch := runtime.ChannelConduit{}.NewBatch()
+	var added []int32 // the frame positions of the Added messages, in Add order
 	for {
 		body, err := readFrame(conn, &buf)
 		if err != nil {
@@ -293,19 +296,26 @@ func (c *SocketConduit) serve(conn net.Conn) {
 		}
 		bits = bits[:need]
 		clear(bits)
+		added = added[:0]
 		for i := 0; i < count; i++ {
 			to, m, err := readMessageBody(r, c.epoch, &cache)
 			if err != nil {
 				c.rejects.Add(1)
 				return
 			}
-			if node := c.node(to); node != nil && node.Send(m) {
-				bitmapSet(bits, i)
+			if node := c.node(to); node != nil {
+				batch.Add(node, m)
+				added = append(added, int32(i))
 			}
 		}
 		if len(r.b) != 0 {
 			c.rejects.Add(1)
 			return
+		}
+		for j, ok := range batch.Flush() {
+			if ok {
+				bitmapSet(bits, int(added[j]))
+			}
 		}
 		out = appendBatchAckFrame(out[:0], seq, bits, count)
 		if _, err := conn.Write(out); err != nil {

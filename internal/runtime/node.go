@@ -21,7 +21,7 @@ type Node struct {
 	// package doc).
 	action  *gossip.Action   // the Act result; points into Runtime.actions
 	replies []gossip.Payload // HandlePull results, in mailbox order
-	lats    []time.Duration  // delivery latencies of timed messages
+	lats    []time.Duration  // latencies of timed messages, each to the start of its host batch
 }
 
 // hostMsg is one queue entry: a message and the node of the range it is for.
@@ -31,19 +31,23 @@ type hostMsg struct {
 }
 
 // host is one goroutine serving a contiguous range of node IDs from one
-// bounded multi-producer queue. Producers append under mu and wake the host
-// only when it is parked; the host swaps the whole pending slice for its spare
-// and handles the entries in queue order with no lock held, so a message costs
-// one uncontended lock on the way in and none on the way out. A node has
-// exactly one host, so its messages are handled in the order they were
-// accepted — the per-destination FIFO the coordinator and Batch rely on.
+// bounded multi-producer queue. Producers append under mu — a whole chunk of
+// entries per lock when they come through a hand-over batch (putAll), one
+// when through Send — and wake the host only when it is parked; the host
+// swaps the whole pending slice for its spare, reads the clock once, and
+// handles the entries in queue order with no lock held, so a wave costs one
+// uncontended lock per chunk on the way in, none on the way out, and one
+// clock read per swapped batch. A node has exactly one host, so its messages
+// are handled in the order they were accepted — the per-destination FIFO the
+// coordinator and Batch rely on.
 type host struct {
 	bar   *barrier
-	limit int // queue bound: Mailbox × nodes in the range; put blocks at it
+	idx   int // the host's place in its runtime's range order; a handOver's stage key
+	limit int // queue bound: Mailbox × nodes in the range; putAll blocks at it
 
 	mu      sync.Mutex
 	pending []hostMsg
-	parked  bool          // the host waits on wake; the next put owes it a token
+	parked  bool          // the host waits on wake; the next putAll owes it a token
 	wake    chan struct{} // 1 slot
 	room    chan struct{} // closed and replaced by the swap that empties a full queue
 }
@@ -58,36 +62,43 @@ func newHost(bar *barrier, limit int) *host {
 	}
 }
 
-// put enqueues m for n, blocking while the queue is at its bound. It reports
-// false — nothing enqueued — once the runtime has shut down.
-func (h *host) put(n *Node, m Message) bool {
-	if h.bar.stopped.Load() {
-		return false
-	}
-	h.mu.Lock()
-	for len(h.pending) >= h.limit {
-		room := h.room
-		h.mu.Unlock()
-		select {
-		case <-room:
-		case <-h.bar.stop:
-			return false
+// putAll enqueues entries in order, each append taking as many as the bound
+// leaves room for, and blocks while the queue is full. It reports how many
+// entries — a prefix — it enqueued: all of them, unless the runtime shut down
+// first.
+func (h *host) putAll(entries []hostMsg) int {
+	put := 0
+	for put < len(entries) {
+		if h.bar.stopped.Load() {
+			return put
 		}
 		h.mu.Lock()
+		for len(h.pending) >= h.limit {
+			room := h.room
+			h.mu.Unlock()
+			select {
+			case <-room:
+			case <-h.bar.stop:
+				return put
+			}
+			h.mu.Lock()
+		}
+		k := min(len(entries)-put, h.limit-len(h.pending))
+		h.pending = append(h.pending, entries[put:put+k]...)
+		put += k
+		wake := h.parked
+		h.parked = false
+		h.mu.Unlock()
+		if wake {
+			h.wake <- struct{}{} // never blocks: one token per park
+		}
 	}
-	h.pending = append(h.pending, hostMsg{n, m})
-	wake := h.parked
-	h.parked = false
-	h.mu.Unlock()
-	if wake {
-		h.wake <- struct{}{} // never blocks: one token per park
-	}
-	return true
+	return put
 }
 
-// run is the host goroutine: swap the queue out, handle it, count it, until
-// shutdown. The flag is checked before every message, so a stopped host
-// abandons the rest of its queue.
+// run is the host goroutine: swap the queue out, read the clock, handle the
+// batch against that reading, count it, until shutdown. The flag is checked
+// before every message, so a stopped host abandons the rest of its queue.
 func (h *host) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	batch := make([]hostMsg, 0, h.limit)
@@ -109,11 +120,12 @@ func (h *host) run(wg *sync.WaitGroup) {
 			h.room = make(chan struct{})
 		}
 		h.mu.Unlock()
+		now := time.Now()
 		for i := range batch {
 			if h.bar.stopped.Load() {
 				return
 			}
-			batch[i].n.handle(&batch[i].m)
+			batch[i].n.handle(&batch[i].m, now)
 		}
 		h.bar.complete(len(batch))
 	}
@@ -177,7 +189,7 @@ func (b *barrier) await(n int) bool {
 	return false
 }
 
-// halt raises the flag, releases every put blocked on a full queue and every
+// halt raises the flag, releases every putAll blocked on a full queue and every
 // parked host, and wakes a parked await. Call it once.
 func (b *barrier) halt() {
 	b.stopped.Store(true)
@@ -192,12 +204,13 @@ func (n *Node) ID() int { return n.id }
 // that queue is full (backpressure). It reports false — without delivering —
 // once the runtime has shut down. It is safe from any goroutine; messages one
 // goroutine Sends to one node are handled in Send order.
-func (n *Node) Send(m Message) bool { return n.host.put(n, m) }
+func (n *Node) Send(m Message) bool { return n.host.putAll([]hostMsg{{n, m}}) == 1 }
 
-// handle processes one message through the agent, on the node's host.
-func (n *Node) handle(m *Message) {
+// handle processes one message through the agent, on the node's host; now is
+// the host's clock reading for the batch the message arrived in.
+func (n *Node) handle(m *Message, now time.Time) {
 	if !m.SentAt.IsZero() {
-		n.lats = append(n.lats, time.Since(m.SentAt))
+		n.lats = append(n.lats, now.Sub(m.SentAt))
 	}
 	switch m.Kind {
 	case MsgRound:

@@ -33,7 +33,9 @@
 // message for them enters (see host). A round parks and wakes W goroutines a
 // few times, not n, and per-node FIFO order — all the transcript needs —
 // holds because a node has exactly one host. W follows GOMAXPROCS as New finds
-// it; there is no other width setting.
+// it; there is no other width setting. Waves enter the queues in per-host
+// chunks (see handOver): one lock per chunk, not per message, and a host reads
+// the clock once per batch it swaps out, not once per message.
 //
 // # Pipelined delivery
 //
@@ -45,32 +47,36 @@
 // fates are decided per crossing before dispatch — a keyed loss decision does
 // not care when it is asked — the whole delivery set is handed to the
 // transport without waiting per message, and the executor settles every
-// operation at the barrier in the simulator's order. The transcript stays
-// byte-identical while the transport coalesces frames and overlaps
-// acknowledgements. A pull phase is two waves: queries, then — once every
+// operation at the barrier in the simulator's order. The channel transport's
+// batch, like the round fan-out, stages each wave per host and hands a host a
+// full chunk at once — one lock per chunk — so the host starts handling while
+// the coordinator is still dispatching; Flush hands over the remainders. The
+// transcript stays byte-identical while the transport coalesces frames and
+// overlaps acknowledgements. A pull phase is two waves: queries, then — once every
 // target's HandlePull result is in — the replies that survive their own loss
 // decision.
 //
 // # Round barrier
 //
 // Every coordinator wait — the Act fan-out of a round, or any one of its
-// delivery waves — is one barrier, and reaching it takes no
-// lock that two hosts share. A handler leaves what it produced in its node's
-// slots (its entry of the action table, a FIFO of HandlePull results, a
-// scratch of delivery latencies) and the host adds each batch it has handled
-// to one atomic count of handled messages; the coordinator publishes the count
-// it is owed and parks on a one-slot wake channel that only the add crossing
-// that count signals (see barrier for why no wake-up is lost). Ownership: a
-// node's slots, and its agent, are written only by its host, only while
-// handling a message; the coordinator reads or resets them only between a
-// barrier that counted every message it sent that node and its next send
-// there. Shutdown is a flag on the same barrier: a wait that sees it fails
+// delivery waves — is one barrier, and reaching it takes no lock that two
+// hosts share. A handler leaves what it produced in its node's slots (its
+// entry of the action table, a FIFO of HandlePull results, a scratch of
+// delivery latencies, each measured against the one clock reading its host
+// takes per swapped batch) and the host adds each batch it has handled to one
+// atomic count of handled messages; the coordinator publishes the count it is
+// owed and parks on a one-slot wake channel that only the add crossing that
+// count signals (see barrier for why no wake-up is lost). Ownership: a node's
+// slots, and its agent, are written only by its host, only while handling a
+// message; the coordinator reads or resets them only between a barrier that
+// counted every message it sent that node and its next send there. Shutdown is a flag on the same barrier: a wait that sees it fails
 // without reading any slot — hosts may still be running — and Run returns
 // ErrShutdown.
 //
 // On top of that parity the runtime measures what the simulator cannot:
-// wall-clock convergence and per-message delivery latency, reported as a
-// metrics.Live with streaming quantiles (stats.QuantileSketch).
+// wall-clock convergence and per-message delivery latency — from the send
+// stamp to the start of the host batch that handles the message — reported as
+// a metrics.Live with streaming quantiles (stats.QuantileSketch).
 package runtime
 
 import (
@@ -92,7 +98,8 @@ import (
 // DefaultMailbox is Config.Mailbox's default. A host serving k nodes accepts
 // Mailbox × k unhandled messages, whichever of its nodes they are for; a
 // pipelined wave addresses about one per node, so four absorbs any normal
-// wave, and past the bound Send's backpressure makes the dispatcher wait.
+// wave, and past the bound the hand-over's backpressure makes the dispatcher
+// wait.
 const DefaultMailbox = 4
 
 // slotCap is a node's share of the reply-FIFO and latency-scratch slabs, above
@@ -147,14 +154,17 @@ type Runtime struct {
 	pushes  []int32
 	pulls   []int32
 
-	// Delivery-wave scratch, reused every round: the wave's outcomes, the
-	// flushed wave's results with next, the one arrived reads next, and
-	// rhead[id] — how far the coordinator has read into node id's reply FIFO.
-	batch Batch
-	out   []gossip.Outcome
-	oks   []bool
-	next  int
-	rhead []int
+	// Delivery-wave scratch, reused every round: the conduit's batch, the
+	// round fan-out's own (control traffic never crosses the conduit), the
+	// wave's outcomes, the flushed wave's results with next, the one arrived
+	// reads next, and rhead[id] — how far the coordinator has read into node
+	// id's reply FIFO.
+	batch  Batch
+	fanout handOver
+	out    []gossip.Outcome
+	oks    []bool
+	next   int
+	rhead  []int
 
 	lat   stats.QuantileSketch
 	kinds [msgKinds]int64 // messages a mailbox accepted, by kind
@@ -203,6 +213,7 @@ func New(cfg Config, agents []gossip.Agent) *Runtime {
 	for w := 0; w < width; w++ {
 		lo, hi := w*n/width, (w+1)*n/width
 		h := newHost(rt.bar, mailbox*(hi-lo))
+		h.idx = w
 		for i := lo; i < hi; i++ {
 			if agents[i] == nil {
 				continue
@@ -313,17 +324,14 @@ func (rt *Runtime) step() bool {
 	// Act fan-out: the hosts compute their active nodes' actions concurrently;
 	// silent nodes contribute NoAction without being sent anything, so their
 	// RNG streams stay untouched (exactly the engine's act()).
-	pending := 0
 	for i := range rt.nodes {
 		if rt.x.Silent(round, i) {
 			rt.actions[i] = gossip.NoAction()
 			continue
 		}
-		if rt.nodes[i].Send(Message{Kind: MsgRound, Round: round}) {
-			pending++
-		}
+		rt.fanout.Add(&rt.nodes[i], Message{Kind: MsgRound, Round: round})
 	}
-	if !rt.bar.await(pending) {
+	if !rt.bar.await(accepted(rt.fanout.Flush())) {
 		return false
 	}
 
@@ -367,12 +375,18 @@ func (rt *Runtime) dispatch(f gossip.Fate, to int, m Message, now time.Time) {
 func (rt *Runtime) flushWave(direct int) bool {
 	rt.oks = append(rt.oks[:0], rt.batch.Flush()...)
 	rt.next = 0
-	for _, ok := range rt.oks {
+	return rt.bar.await(direct + accepted(rt.oks))
+}
+
+// accepted counts the deliveries a flushed batch reports as accepted.
+func accepted(oks []bool) int {
+	k := 0
+	for _, ok := range oks {
 		if ok {
-			direct++
+			k++
 		}
 	}
-	return rt.bar.await(direct)
+	return k
 }
 
 // arrived returns the fate to settle an operation of fate f with, consuming

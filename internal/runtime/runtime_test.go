@@ -223,8 +223,17 @@ func TestFaultConduitDrops(t *testing.T) {
 
 // TestFaultConduitJitter pins that jitter shows up in the measured latency
 // distribution: with a 200µs jitter ceiling the median delivery must be
-// slower than the in-process channel handoff ever is.
+// slower than the in-process channel handoff ever is. A jittered wave must
+// also reach the mailbox message by message, not at Flush: a message staged
+// behind later messages' delays would have them counted as its latency.
 func TestFaultConduitJitter(t *testing.T) {
+	h := newHost(newBarrier(), 4) // not started: nothing drains
+	b := NewFaultConduit(nil, 13, 0, time.Microsecond).NewBatch()
+	b.Add(&Node{id: 0, host: h}, Message{Kind: MsgPush, From: 1, SentAt: time.Now()})
+	if got := queued(h); got != 1 {
+		t.Fatalf("a jittered message waits in the batch (%d in the mailbox before Flush)", got)
+	}
+
 	setup := testConfig(t, 16, 13)
 	rt := runtimeFor(setup, Options{Conduit: NewFaultConduit(nil, 13, 0, 200*time.Microsecond)})
 	if _, err := rt.Run(context.Background(), setup.MaxRounds); err != nil {

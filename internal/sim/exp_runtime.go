@@ -97,8 +97,8 @@ func RunE15Runtime(o RuntimeOptions) []*Table {
 			F(rt.Median/sim.Median)+"×", F(delivered/t), F(p50/t), F(p99/t), I(o.Trials))
 	}
 	e15.AddNote("both engines execute the identical protocol off identical seeds (transcript-equivalent; the rounds column is checked to match run by run); sim ms is the round-loop simulator's wall time, runtime ms is the message-passing runtime's — a bounded mailbox per agent, GOMAXPROCS host goroutines each draining one contiguous range of them, every message a real queue delivery")
-	e15.AddNote("lat p50/p99 are streaming quantiles over every delivered payload message (push/vote/query/reply), measured send-to-handler through the in-process channel conduit; the gap between them and the runtime/sim wall-clock ratio is the price of physically moving each message the simulator only counts")
-	e15.AddNote("wall times are medians over the trials with the min–max range beside them (each trial is a different seed, so the range holds seed-to-seed variation as well as host noise); runtime/sim is the ratio of the two medians. On the 2-vCPU reference host it reads 2.0× / 2.0× / 2.0× at n = 128 / 1024 / 4096 and no longer widens with n; with one goroutine and one channel per node — n goroutines parked and woken several times a round — the same tables read 5.1× / 6.4× / 6.7×")
+	e15.AddNote("lat p50/p99 are streaming quantiles over every delivered payload message (push/vote/query/reply), measured through the in-process channel conduit from the send stamp to the start of the host batch that handles the message (one clock read per batch); the gap between them and the runtime/sim wall-clock ratio is the price of physically moving each message the simulator only counts")
+	e15.AddNote("wall times are medians over the trials with the min–max range beside them (each trial is a different seed, so the range holds seed-to-seed variation as well as host noise); runtime/sim is the ratio of the two medians. On a 2-vCPU host it reads ≈1.9× / 1.3× / 1.25× at n = 128 / 1024 / 4096 and narrows with n (≈2.0× at every n while each message took its own lock into a host queue); with one goroutine and one channel per node — n goroutines parked and woken several times a round — the same tables read 5.1× / 6.4× / 6.7×")
 	return []*Table{e15}
 }
 
