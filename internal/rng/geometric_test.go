@@ -156,3 +156,26 @@ func TestGeometricEdgeCases(t *testing.T) {
 		}
 	}
 }
+
+// TestGeoMatchesUnpreparedDraw pins that preparing ln(1−p) once changes no
+// draw: a prepared law must return, bit for bit, the quotient the per-draw
+// formula ⌊ln(U)/ln(1−p)⌋ gives on the same stream, and leave the stream in
+// the same state — so every seed maps to the same skip-scan as before.
+func TestGeoMatchesUnpreparedDraw(t *testing.T) {
+	for _, p := range []float64{0.9, 0.5, 0.1, 1.0 / 3, 1e-3, 3.3e-4, 1e-9} {
+		g := NewGeo(p)
+		a, b := New(17), New(17)
+		for i := 0; i < 20000; i++ {
+			want := uint64(math.MaxUint64)
+			if q := math.Log(1.0-b.Float64()) / math.Log1p(-p); q < maxGeometric {
+				want = uint64(q)
+			}
+			if got := g.Draw(a); got != want {
+				t.Fatalf("p=%g draw %d: prepared %d, per-draw formula %d", p, i, got, want)
+			}
+		}
+		if *a != *b {
+			t.Fatalf("p=%g: prepared draws left the stream in a different state", p)
+		}
+	}
+}

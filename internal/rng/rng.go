@@ -193,28 +193,8 @@ func (r *Source) Bool(p float64) bool {
 // p = 1 returns 0 without consuming randomness; p ≤ 0 panics (the waiting
 // time would be infinite — callers handle the never-hits case themselves,
 // typically via SkipPast returning past the end of their population).
-func (r *Source) Geometric(p float64) uint64 {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("rng: Geometric with p <= 0")
-	}
-	// 1 − Float64() lies in (0, 1]: u = 1 exactly maps to G = 0, and the
-	// smallest u (2⁻⁵³) bounds G ≤ 53·ln2/p, so the float division cannot
-	// produce +Inf. Log1p keeps precision for small p, where ln(1−p) ≈ −p.
-	u := 1.0 - r.Float64()
-	g := math.Log(u) / math.Log1p(-p)
-	if g >= maxGeometric {
-		return math.MaxUint64
-	}
-	return uint64(g)
-}
-
-// maxGeometric guards the float→uint64 conversion in Geometric: any quotient
-// at or beyond 2⁶³ is clamped to MaxUint64 (a skip past every population a
-// uint64 can index, so callers see "no hit" uniformly).
-const maxGeometric = 1 << 63
+// Callers drawing repeatedly at one p prepare it once with NewGeo.
+func (r *Source) Geometric(p float64) uint64 { return NewGeo(p).Draw(r) }
 
 // SkipPast returns the index of the next success at or after position i when
 // every element of a population is independently selected with probability p:
@@ -222,15 +202,55 @@ const maxGeometric = 1 << 63
 // elements a per-element Bernoulli(p) scan would select, in ascending order,
 // at O(selected) cost; a return ≥ n means no further element is selected.
 // p ≤ 0 never hits: it returns MaxUint64 without consuming randomness.
-func (r *Source) SkipPast(i uint64, p float64) uint64 {
-	if p <= 0 {
+func (r *Source) SkipPast(i uint64, p float64) uint64 { return NewGeo(p).SkipPast(r, i) }
+
+// Geo is the geometric law of Source.Geometric prepared for one p: the
+// ln(1−p) every draw divides by is computed once, here, instead of on every
+// draw. Dividing by the stored value gives the very quotient Geometric
+// computes, so a Geo's draws are bit-identical to Geometric(p)'s and a
+// scan's seed mapping is unchanged.
+type Geo struct {
+	p    float64
+	logq float64 // ln(1−p); read only when 0 < p < 1
+}
+
+// NewGeo prepares the geometric law of success probability p.
+func NewGeo(p float64) Geo { return Geo{p: p, logq: math.Log1p(-p)} }
+
+// Draw is Source.Geometric(p) for the prepared p.
+func (g Geo) Draw(r *Source) uint64 {
+	if g.p >= 1 {
+		return 0
+	}
+	if g.p <= 0 {
+		panic("rng: Geometric with p <= 0")
+	}
+	// 1 − Float64() lies in (0, 1]: u = 1 exactly maps to G = 0, and the
+	// smallest u (2⁻⁵³) bounds G ≤ 53·ln2/p, so the float division cannot
+	// produce +Inf. Log1p keeps precision for small p, where ln(1−p) ≈ −p.
+	u := 1.0 - r.Float64()
+	q := math.Log(u) / g.logq
+	if q >= maxGeometric {
 		return math.MaxUint64
 	}
-	g := r.Geometric(p)
-	if i > math.MaxUint64-g {
+	return uint64(q)
+}
+
+// maxGeometric guards the float→uint64 conversion in Draw: any quotient at
+// or beyond 2⁶³ is clamped to MaxUint64 (a skip past every population a
+// uint64 can index, so callers see "no hit" uniformly).
+const maxGeometric = 1 << 63
+
+// SkipPast is Source.SkipPast(i, p) for the prepared p.
+func (g Geo) SkipPast(r *Source, i uint64) uint64 {
+	if g.p <= 0 {
 		return math.MaxUint64
 	}
-	return i + g
+	d := g.Draw(r)
+	if i > math.MaxUint64-d {
+		return math.MaxUint64
+	}
+	return i + d
 }
 
 // Perm returns a uniformly random permutation of [0, n) (Fisher–Yates).

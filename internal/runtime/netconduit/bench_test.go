@@ -3,9 +3,13 @@ package netconduit
 import (
 	"context"
 	"fmt"
+	stdruntime "runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/gossip"
+	"repro/internal/rng"
 	"repro/internal/runtime"
 )
 
@@ -70,6 +74,121 @@ func BenchmarkSocketConduitRound(b *testing.B) {
 			}
 			b.StopTimer()
 			rt.Shutdown()
+		})
+	}
+}
+
+// BenchmarkBatchCodec prices the frame codec on its own, apart from sockets,
+// hosts and the kernel: one op encodes a full n = 1024 wave of one payload
+// shape into batch frames exactly as a socketBatch stages them (sealed at
+// defaultBatchBytes, Params memory reset per frame) and decodes every frame
+// as the serve loop does. Per message it reports the time (ns/msg), the heap
+// bytes and objects allocated (bytes/msg, allocs/msg — decoding a list,
+// vote or certificate allocates its value) and the encoded size
+// (wire-bytes/msg). The shapes are the protocol's traffic: intention-list
+// replies, votes, certificate replies, and queries. Ungated.
+func BenchmarkBatchCodec(b *testing.B) {
+	const n = 1024
+	p, err := core.NewParams(n, 2, 3.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(1)
+	wave := func(payload func(i int) gossip.Payload) []runtime.Message {
+		ms := make([]runtime.Message, n)
+		for i := range ms {
+			ms[i] = runtime.Message{Kind: runtime.MsgReply, Round: 40, From: i, Payload: payload(i)}
+		}
+		return ms
+	}
+	shapes := []struct {
+		name string
+		ms   []runtime.Message
+	}{
+		{"intentions", wave(func(int) gossip.Payload {
+			votes := make([]core.Intent, p.Q)
+			for k := range votes {
+				votes[k] = core.Intent{H: 1 + r.Uint64n(p.M), Z: int32(r.Intn(n))}
+			}
+			return core.Intentions{P: p, Votes: votes}
+		})},
+		{"votes", wave(func(int) gossip.Payload {
+			return &core.Vote{P: p, Value: 1 + r.Uint64n(p.M), Index: int32(r.Intn(p.Q))}
+		})},
+		{"certificates", wave(func(i int) gossip.Payload {
+			w := make([]core.WEntry, p.Q)
+			for k := range w {
+				w[k] = core.WEntry{Voter: int32(r.Intn(n)), Value: 1 + r.Uint64n(p.M)}
+			}
+			return &core.Certificate{P: p, K: r.Uint64n(p.M), W: w, Color: core.Color(i % 2), Owner: int32(i)}
+		})},
+		{"queries", wave(func(i int) gossip.Payload {
+			if i%2 == 0 {
+				return core.IntentQuery{P: p}
+			}
+			return core.CertQuery{P: p}
+		})},
+	}
+	epoch := time.Now()
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			var stage, frame []byte
+			var memo paramsMemo
+			var cache paramsCache
+			var sink gossip.Payload
+			count, wire := 0, 0
+			// seal frames the staged bodies and decodes the frame.
+			seal := func() {
+				f, err := appendBatchFrame(frame[:0], 1, count, stage)
+				if err != nil {
+					b.Fatal(err)
+				}
+				frame, wire = f, wire+len(f)
+				stage, count, memo = stage[:0], 0, paramsMemo{}
+				r := &reader{b: f[5:]}
+				_, k, err := readBatchHeader(r, &cache)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < k; j++ {
+					_, m, err := readMessageBody(r, epoch, &cache)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sink = m.Payload
+				}
+			}
+			run := func() {
+				wire = 0
+				for j, m := range sh.ms {
+					var err error
+					if stage, err = appendMessageBody(stage, j, m, epoch, &memo); err != nil {
+						b.Fatal(err)
+					}
+					if count++; len(stage) >= defaultBatchBytes {
+						seal()
+					}
+				}
+				if count > 0 {
+					seal()
+				}
+			}
+			// One untimed pass sizes every buffer and primes the Params cache.
+			run()
+			var before, after stdruntime.MemStats
+			stdruntime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.StopTimer()
+			stdruntime.ReadMemStats(&after)
+			_ = sink
+			msgs := float64(b.N) * n
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/msgs, "bytes/msg")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/msgs, "allocs/msg")
+			b.ReportMetric(float64(wire)/n, "wire-bytes/msg")
 		})
 	}
 }

@@ -14,7 +14,7 @@
 // Every frame is a 4-byte big-endian length prefix followed by a body of at
 // most MaxFrame bytes. The body's first byte is the frame type:
 //
-//	batch frame:   3 | batch version (2) | seq uvarint | count uvarint |
+//	batch frame:   3 | batch version (3) | seq uvarint | count uvarint |
 //	               count × message body
 //	batch ack:     4 | seq uvarint | count uvarint | ⌈count/8⌉ bitmap bytes
 //
@@ -41,14 +41,36 @@
 // The encoding is versioned (batchVersion) and covers exactly the
 // concrete gossip.Payload types the protocol produces, tagged:
 //
-//	0 nil | 1 core.Intentions | 2 core.Vote | 3 core.IntentQuery |
-//	4 core.CertQuery | 5 *core.Certificate
+//	0 nil
+//	1 core.Intentions   params | count uvarint | count × (H u64, Z i32)
+//	2 core.Vote         params | Value u64 | Index i32
+//	3 core.IntentQuery  params
+//	4 core.CertQuery    params
+//	5 *core.Certificate params | K u64 | count uvarint |
+//	                    count × (Voter i32, Value u64) | Color i32 | Owner i32
 //
-// Each payload starts with its Params (n, colors, gamma bits, protocol
-// variant) so the receiver reconstructs the exact same core.Params — bit
-// widths included — via core.NewParams + WithProtocol. Malformed frames
-// (bad tag, truncated varint, oversized length, garbage trailing bytes) are
-// connection-fatal: the receiver drops the connection rather than guess, and
+// Payload fields travel at their Go type's full width, little-endian (u64 is
+// 8 bytes, i32 is 4), whatever values they hold: the wire carries exactly
+// what an agent put in a payload, out-of-range values included, and leaves
+// rejecting them to verification. A list count is bounded by the bytes left
+// in the frame before anything is allocated for it.
+//
+// Params (n, colors, gamma bits, protocol variant) let the receiver
+// reconstruct the exact same core.Params — bit widths included — via
+// core.NewParams + WithProtocol. A params field is either the full block,
+//
+//	n uvarint | colors uvarint | gamma u64 | variant byte |
+//	passes uvarint | minVotes uvarint
+//
+// or the one-byte marker uvarint 0 (never a valid n), meaning "the same
+// Params as the previous block in this frame". The first payload carrying
+// Params in a frame always writes the full block, so every frame decodes on
+// its own; a marker with no block before it in its frame is malformed.
+//
+// The fixed-width fields and the Params marker are what version 3 changed;
+// a frame of any other version, 2 included, is connection-fatal. So is every
+// malformed frame (bad tag, truncated field, oversized length, garbage
+// trailing bytes): the receiver drops the connection rather than guess, and
 // the sender's pending deliveries fail as transport losses.
 package netconduit
 
@@ -65,9 +87,9 @@ import (
 	"repro/internal/runtime"
 )
 
-// batchVersion is the batch-frame encoding version — v2 of the wire protocol.
+// batchVersion is the batch-frame encoding version — v3 of the wire protocol.
 // A receiver rejects frames speaking any other version instead of guessing.
-const batchVersion = 2
+const batchVersion = 3
 
 // MaxFrame bounds one frame body. The largest regular protocol message is a
 // certificate of O(log² n) bits, so a megabyte is orders of magnitude of
@@ -181,6 +203,16 @@ func (r *reader) u64() uint64 {
 	return v
 }
 
+func (r *reader) u32() uint32 {
+	if len(r.b) < 4 {
+		r.fail()
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(r.b)
+	r.b = r.b[4:]
+	return v
+}
+
 // paramsKey is the comparable identity of one encoded core.Params.
 type paramsKey struct {
 	n, colors        int
@@ -189,17 +221,43 @@ type paramsKey struct {
 	passes, minVotes int
 }
 
-// paramsCache memoizes the last decoded Params per connection: a run speaks
-// one parameter set, so after the first message every decode is a key
-// comparison instead of a NewParams rebuild.
+// paramsCache is one connection's decoder state for Params. It memoizes the
+// last decoded block — a run speaks one parameter set, so after the first
+// message every block is a key comparison instead of a NewParams rebuild —
+// together with the two query payloads that carry nothing else, boxed once so
+// decoding a query allocates nothing. inFrame says a block has been read in
+// the current frame, which is what a Params marker refers back to.
 type paramsCache struct {
-	key paramsKey
-	p   core.Params
-	ok  bool
+	key     paramsKey
+	p       core.Params
+	intentQ gossip.Payload // core.IntentQuery{P: p}
+	certQ   gossip.Payload // core.CertQuery{P: p}
+	ok      bool
+	inFrame bool
 }
 
-// appendParams encodes p so the receiver can rebuild it exactly.
-func appendParams(b []byte, p core.Params) ([]byte, error) {
+// paramsMemo is one frame's encoder state for Params: the block last written
+// in it. A payload whose Params equal it writes the marker instead.
+type paramsMemo struct {
+	p  core.Params
+	ok bool
+}
+
+// paramsMarker stands in for a Params block equal to the frame's previous
+// one. It is the uvarint 0 in the block's leading n field, which no valid
+// Params has.
+const paramsMarker = 0
+
+// appendParams encodes p so the receiver can rebuild it exactly: the full
+// block the first time in a frame and whenever p changes, the marker
+// otherwise.
+func appendParams(b []byte, p *core.Params, memo *paramsMemo) ([]byte, error) {
+	if memo.ok && memo.p == *p {
+		return append(b, paramsMarker), nil
+	}
+	if p.N <= 0 {
+		return b, codecErr("params n = %d not positive", p.N)
+	}
 	code, err := variantCode(p.Proto.Variant)
 	if err != nil {
 		return b, err
@@ -210,14 +268,23 @@ func appendParams(b []byte, p core.Params) ([]byte, error) {
 	b = append(b, code)
 	b = binary.AppendUvarint(b, uint64(p.Proto.Passes))
 	b = binary.AppendUvarint(b, uint64(p.Proto.MinVotes))
+	memo.p, memo.ok = *p, true
 	return b, nil
 }
 
-// readParams decodes and validates one Params block, rebuilding the derived
-// fields (q, m, wire widths) through the same constructors the sender used.
-func readParams(r *reader, cache *paramsCache) (core.Params, error) {
+// readParams decodes and validates one Params block or marker, rebuilding
+// the derived fields (q, m, wire widths) through the same constructors the
+// sender used. The result points into cache: valid until the next call.
+func readParams(r *reader, cache *paramsCache) (*core.Params, error) {
+	n := r.uvarint()
+	if n == paramsMarker && !r.bad {
+		if !cache.inFrame {
+			return nil, codecErr("params marker with no block before it in the frame")
+		}
+		return &cache.p, nil
+	}
 	key := paramsKey{
-		n:         int(r.uvarint()),
+		n:         int(n),
 		colors:    int(r.uvarint()),
 		gammaBits: r.u64(),
 	}
@@ -225,97 +292,116 @@ func readParams(r *reader, cache *paramsCache) (core.Params, error) {
 	key.passes = int(r.uvarint())
 	key.minVotes = int(r.uvarint())
 	if r.bad {
-		return core.Params{}, codecErr("truncated params")
+		return nil, codecErr("truncated params")
 	}
-	if cache.ok && cache.key == key {
-		return cache.p, nil
+	if !cache.ok || cache.key != key {
+		variant, err := variantOf(key.variant)
+		if err != nil {
+			return nil, err
+		}
+		p, err := core.NewParams(key.n, key.colors, math.Float64frombits(key.gammaBits))
+		if err != nil {
+			return nil, codecErr("bad params: %v", err)
+		}
+		p, err = p.WithProtocol(core.Protocol{Variant: variant, Passes: key.passes, MinVotes: key.minVotes})
+		if err != nil {
+			return nil, codecErr("bad protocol: %v", err)
+		}
+		cache.key, cache.p, cache.ok = key, p, true
+		cache.intentQ, cache.certQ = core.IntentQuery{P: p}, core.CertQuery{P: p}
 	}
-	variant, err := variantOf(key.variant)
-	if err != nil {
-		return core.Params{}, err
-	}
-	p, err := core.NewParams(key.n, key.colors, math.Float64frombits(key.gammaBits))
-	if err != nil {
-		return core.Params{}, codecErr("bad params: %v", err)
-	}
-	p, err = p.WithProtocol(core.Protocol{Variant: variant, Passes: key.passes, MinVotes: key.minVotes})
-	if err != nil {
-		return core.Params{}, codecErr("bad protocol: %v", err)
-	}
-	cache.key, cache.p, cache.ok = key, p, true
-	return p, nil
+	cache.inFrame = true
+	return &cache.p, nil
 }
+
+// Fixed widths of the list entries: core.Intent is a uint64 and an int32,
+// core.WEntry an int32 and a uint64.
+const (
+	intentWidth = 8 + 4
+	wentryWidth = 4 + 8
+)
 
 // appendPayload encodes one concrete payload. An unknown payload type is a
 // programming error — the conduit carries exactly the protocol's types — and
 // is reported as an error so the caller can fail loudly instead of silently
 // converting it into message loss.
-func appendPayload(b []byte, p gossip.Payload) ([]byte, error) {
+func appendPayload(b []byte, p gossip.Payload, memo *paramsMemo) ([]byte, error) {
+	le := binary.LittleEndian
 	switch m := p.(type) {
 	case nil:
 		return append(b, payNil), nil
 	case core.Intentions:
 		b = append(b, payIntentions)
-		b, err := appendParams(b, m.P)
+		b, err := appendParams(b, &m.P, memo)
 		if err != nil {
 			return b, err
 		}
 		b = binary.AppendUvarint(b, uint64(len(m.Votes)))
 		for _, v := range m.Votes {
-			b = binary.AppendUvarint(b, v.H)
-			b = binary.AppendVarint(b, int64(v.Z))
+			b = le.AppendUint64(b, v.H)
+			b = le.AppendUint32(b, uint32(v.Z))
 		}
 		return b, nil
 	case core.Vote:
-		return appendVote(b, m)
+		return appendVote(b, m, memo)
 	case *core.Vote:
 		if m == nil {
 			return append(b, payNil), nil
 		}
-		return appendVote(b, *m)
+		return appendVote(b, *m, memo)
 	case core.IntentQuery:
 		b = append(b, payIntentQuery)
-		return appendParams(b, m.P)
+		return appendParams(b, &m.P, memo)
 	case core.CertQuery:
 		b = append(b, payCertQuery)
-		return appendParams(b, m.P)
+		return appendParams(b, &m.P, memo)
 	case *core.Certificate:
 		if m == nil {
 			return append(b, payNil), nil
 		}
 		b = append(b, payCertificate)
-		b, err := appendParams(b, m.P)
+		b, err := appendParams(b, &m.P, memo)
 		if err != nil {
 			return b, err
 		}
-		b = binary.AppendUvarint(b, m.K)
+		b = le.AppendUint64(b, m.K)
 		b = binary.AppendUvarint(b, uint64(len(m.W)))
 		for _, w := range m.W {
-			b = binary.AppendVarint(b, int64(w.Voter))
-			b = binary.AppendUvarint(b, w.Value)
+			b = le.AppendUint32(b, uint32(w.Voter))
+			b = le.AppendUint64(b, w.Value)
 		}
-		b = binary.AppendVarint(b, int64(m.Color))
-		b = binary.AppendVarint(b, int64(m.Owner))
+		b = le.AppendUint32(b, uint32(m.Color))
+		b = le.AppendUint32(b, uint32(m.Owner))
 		return b, nil
 	}
 	return b, codecErr("unencodable payload type %T", p)
 }
 
-func appendVote(b []byte, v core.Vote) ([]byte, error) {
+func appendVote(b []byte, v core.Vote, memo *paramsMemo) ([]byte, error) {
 	b = append(b, payVote)
-	b, err := appendParams(b, v.P)
+	b, err := appendParams(b, &v.P, memo)
 	if err != nil {
 		return b, err
 	}
-	b = binary.AppendUvarint(b, v.Value)
-	b = binary.AppendVarint(b, int64(v.Index))
+	b = binary.LittleEndian.AppendUint64(b, v.Value)
+	b = binary.LittleEndian.AppendUint32(b, uint32(v.Index))
 	return b, nil
 }
 
-// readPayload decodes one payload block. List lengths are sanity-bounded by
-// the bytes actually present, so a garbage count cannot trigger a huge
-// allocation before the truncation is noticed.
+// listCount reads a list's uvarint entry count and bounds it by the bytes
+// left in the frame, so a garbage count is rejected before it sizes a make.
+// The division keeps the bound itself overflow-free.
+func listCount(r *reader, width int) (int, bool) {
+	n := r.uvarint()
+	if r.bad || n > uint64(len(r.b)/width) {
+		return 0, false
+	}
+	return int(n), true
+}
+
+// readPayload decodes one payload block.
 func readPayload(r *reader, cache *paramsCache) (gossip.Payload, error) {
+	le := binary.LittleEndian
 	switch tag := r.byte(); tag {
 	case payNil:
 		return nil, nil
@@ -324,57 +410,56 @@ func readPayload(r *reader, cache *paramsCache) (gossip.Payload, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := r.uvarint()
-		if r.bad || n > uint64(len(r.b)) {
-			return nil, codecErr("intentions count %d overruns frame", n)
+		n, ok := listCount(r, intentWidth)
+		if !ok {
+			return nil, codecErr("intentions count overruns frame")
 		}
 		votes := make([]core.Intent, n)
+		e := r.b
 		for i := range votes {
-			votes[i].H = r.uvarint()
-			votes[i].Z = int32(r.varint())
+			votes[i] = core.Intent{H: le.Uint64(e), Z: int32(le.Uint32(e[8:intentWidth]))}
+			e = e[intentWidth:]
 		}
-		if r.bad {
-			return nil, codecErr("truncated intentions")
-		}
-		return core.Intentions{P: p, Votes: votes}, nil
+		r.b = e
+		return core.Intentions{P: *p, Votes: votes}, nil
 	case payVote:
 		p, err := readParams(r, cache)
 		if err != nil {
 			return nil, err
 		}
-		v := core.Vote{P: p, Value: r.uvarint(), Index: int32(r.varint())}
+		v := core.Vote{P: *p, Value: r.u64(), Index: int32(r.u32())}
 		if r.bad {
 			return nil, codecErr("truncated vote")
 		}
 		return v, nil
 	case payIntentQuery:
-		p, err := readParams(r, cache)
-		if err != nil {
+		if _, err := readParams(r, cache); err != nil {
 			return nil, err
 		}
-		return core.IntentQuery{P: p}, nil
+		return cache.intentQ, nil
 	case payCertQuery:
-		p, err := readParams(r, cache)
-		if err != nil {
+		if _, err := readParams(r, cache); err != nil {
 			return nil, err
 		}
-		return core.CertQuery{P: p}, nil
+		return cache.certQ, nil
 	case payCertificate:
 		p, err := readParams(r, cache)
 		if err != nil {
 			return nil, err
 		}
-		k := r.uvarint()
-		n := r.uvarint()
-		if r.bad || n > uint64(len(r.b)) {
-			return nil, codecErr("certificate vote count %d overruns frame", n)
+		k := r.u64()
+		n, ok := listCount(r, wentryWidth)
+		if !ok {
+			return nil, codecErr("certificate vote count overruns frame")
 		}
 		w := make([]core.WEntry, n)
+		e := r.b
 		for i := range w {
-			w[i].Voter = int32(r.varint())
-			w[i].Value = r.uvarint()
+			w[i] = core.WEntry{Voter: int32(le.Uint32(e)), Value: le.Uint64(e[4:wentryWidth])}
+			e = e[wentryWidth:]
 		}
-		cert := &core.Certificate{P: p, K: k, W: w, Color: core.Color(r.varint()), Owner: int32(r.varint())}
+		r.b = e
+		cert := &core.Certificate{P: *p, K: k, W: w, Color: core.Color(r.u32()), Owner: int32(r.u32())}
 		if r.bad {
 			return nil, codecErr("truncated certificate")
 		}
@@ -385,8 +470,9 @@ func readPayload(r *reader, cache *paramsCache) (gossip.Payload, error) {
 }
 
 // appendMessageBody encodes one delivery's self-delimiting message body, the
-// unit a batch frame repeats after its header.
-func appendMessageBody(b []byte, to int, m runtime.Message, epoch time.Time) ([]byte, error) {
+// unit a batch frame repeats after its header. memo is the frame's Params
+// memory: zero at the frame's first body, then threaded through the rest.
+func appendMessageBody(b []byte, to int, m runtime.Message, epoch time.Time, memo *paramsMemo) ([]byte, error) {
 	b = append(b, byte(m.Kind))
 	var flags byte
 	if !m.SentAt.IsZero() {
@@ -399,7 +485,7 @@ func appendMessageBody(b []byte, to int, m runtime.Message, epoch time.Time) ([]
 	if flags&flagSentAt != 0 {
 		b = binary.AppendVarint(b, int64(m.SentAt.Sub(epoch)))
 	}
-	return appendPayload(b, m.Payload)
+	return appendPayload(b, m.Payload, memo)
 }
 
 // readMessageBody decodes one message body, consuming exactly its bytes (the
@@ -444,10 +530,12 @@ func appendBatchFrame(b []byte, seq uint64, count int, bodies []byte) ([]byte, e
 }
 
 // readBatchHeader parses a batch frame's header (the bytes after the frame-
-// type byte), leaving the reader positioned at the first message body. The
-// count is sanity-bounded by the bytes present — each body is at least two
-// bytes — so garbage cannot promise a huge batch.
-func readBatchHeader(r *reader) (seq uint64, count int, err error) {
+// type byte), leaving the reader positioned at the first message body, and
+// starts the frame's Params scope in cache: a marker must follow a block of
+// the same frame. The count is sanity-bounded by the bytes present — each
+// body is at least two bytes — so garbage cannot promise a huge batch.
+func readBatchHeader(r *reader, cache *paramsCache) (seq uint64, count int, err error) {
+	cache.inFrame = false
 	if v := r.byte(); v != batchVersion {
 		if r.bad {
 			return 0, 0, codecErr("empty batch frame")

@@ -2,8 +2,13 @@ package netconduit
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	stdruntime "runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -24,11 +29,11 @@ func encodeOne(t testing.TB, seq uint64, to int, m runtime.Message, epoch time.T
 // trailing-byte check.
 func decodeBatch(body []byte, epoch time.Time) (seq uint64, tos []int, ms []runtime.Message, err error) {
 	r := &reader{b: body}
-	seq, count, err := readBatchHeader(r)
+	var cache paramsCache
+	seq, count, err := readBatchHeader(r, &cache)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	var cache paramsCache
 	for i := 0; i < count; i++ {
 		to, m, err := readMessageBody(r, epoch, &cache)
 		if err != nil {
@@ -47,9 +52,10 @@ func decodeBatch(body []byte, epoch time.Time) (seq uint64, tos []int, ms []runt
 func encodeBatch(t testing.TB, seq uint64, tos []int, ms []runtime.Message, epoch time.Time) []byte {
 	t.Helper()
 	var bodies []byte
+	var memo paramsMemo
 	for i, m := range ms {
 		var err error
-		if bodies, err = appendMessageBody(bodies, tos[i], m, epoch); err != nil {
+		if bodies, err = appendMessageBody(bodies, tos[i], m, epoch, &memo); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
 	}
@@ -185,11 +191,14 @@ func TestCodecSentAtTicks(t *testing.T) {
 	}
 }
 
-// TestCodecParamsCache pins the per-connection Params memoization: the
-// second decode of the same parameter block must return the cached value.
+// TestCodecParamsCache pins the per-connection Params memoization and the
+// once-per-frame rule: the second decode of the same block returns the cached
+// value, the encoder writes the marker for a repeat in the same frame, and the
+// marker decodes to the block before it.
 func TestCodecParamsCache(t *testing.T) {
 	p := testParams(t)
-	b, err := appendParams(nil, p)
+	var memo paramsMemo
+	b, err := appendParams(nil, &p, &memo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +207,7 @@ func TestCodecParamsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first != p {
+	if *first != p {
 		t.Fatalf("decoded params %+v != original %+v", first, p)
 	}
 	if !cache.ok {
@@ -208,9 +217,151 @@ func TestCodecParamsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second != p {
+	if *second != p {
 		t.Fatalf("cached params %+v != original %+v", second, p)
 	}
+	marker, err := appendParams(nil, &p, &memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marker, []byte{paramsMarker}) {
+		t.Fatalf("repeated params encoded as % x, want the marker", marker)
+	}
+	third, err := readParams(&reader{b: marker}, &cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *third != p {
+		t.Fatalf("marker decoded to %+v, want %+v", third, p)
+	}
+}
+
+// TestCodecExtremeValues pins that the wire carries exactly what an agent put
+// in a payload, out-of-range values included: rejecting them is
+// verification's job, not the transport's.
+func TestCodecExtremeValues(t *testing.T) {
+	p := testParams(t)
+	payloads := []gossip.Payload{
+		core.Intentions{P: p, Votes: []core.Intent{
+			{H: math.MaxUint64, Z: -1}, {H: 0, Z: math.MinInt32}, {H: 1, Z: math.MaxInt32},
+		}},
+		core.Vote{P: p, Value: math.MaxUint64, Index: -1},
+		core.Vote{P: p, Value: 0, Index: math.MinInt32},
+		&core.Certificate{
+			P: p, K: math.MaxUint64,
+			W:     []core.WEntry{{Voter: -1, Value: math.MaxUint64}, {Voter: math.MinInt32, Value: 0}},
+			Color: core.ColorBot, Owner: math.MaxInt32,
+		},
+		&core.Certificate{P: p, K: 0, W: []core.WEntry{}, Color: math.MaxInt32, Owner: -1},
+	}
+	for i, payload := range payloads {
+		got := roundTrip(t, runtime.Message{Kind: runtime.MsgReply, Round: 2, From: 1, Payload: payload}, 4)
+		if !reflect.DeepEqual(got.Payload, payload) {
+			t.Fatalf("payload %d changed across the wire:\nsent %#v\ngot  %#v", i, payload, got.Payload)
+		}
+	}
+}
+
+// TestCodecParamsSwitchMidFrame pins the once-per-frame rule across a change
+// of Params: each payload repeats the previous block as the marker, and the
+// full block is re-sent exactly where the Params switch — including back to
+// a set the frame carried before — so the frame still round-trips.
+func TestCodecParamsSwitchMidFrame(t *testing.T) {
+	p := testParams(t)
+	relaxed, err := p.WithProtocol(core.Protocol{Variant: core.ProtocolRelaxed, MinVotes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := []gossip.Payload{
+		nil,
+		core.Vote{P: p, Value: 1},
+		core.Vote{P: p, Value: 2},
+		core.CertQuery{P: relaxed},
+		core.IntentQuery{P: relaxed},
+		core.Intentions{P: p, Votes: []core.Intent{{H: 3, Z: 4}}},
+		&core.Certificate{P: p, K: 5, W: []core.WEntry{{Voter: 1, Value: 6}}, Color: 1, Owner: 2},
+	}
+	// wantBlock[i]: payload i writes the full block rather than the marker.
+	wantBlock := []bool{false, true, false, true, false, true, false}
+	epoch := time.Now()
+	var memo paramsMemo
+	var tos []int
+	var ms []runtime.Message
+	for i, payload := range payloads {
+		m := runtime.Message{Kind: runtime.MsgPush, Round: 9, From: 1, Payload: payload}
+		body, err := appendMessageBody(nil, 2, m, epoch, &memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Kind, flags, round, from and to take one byte each here, then the
+		// payload tag: the Params field starts at offset 6.
+		if payload != nil {
+			if block := body[6] != paramsMarker; block != wantBlock[i] {
+				t.Errorf("payload %d: full block written = %v, want %v", i, block, wantBlock[i])
+			}
+		}
+		tos, ms = append(tos, 2), append(ms, m)
+	}
+	_, gotTos, got, err := decodeBatch(encodeBatch(t, 1, tos, ms, epoch), epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotTos, tos) || !reflect.DeepEqual(got, ms) {
+		t.Fatalf("frame changed across the wire:\nsent %+v\ngot  %+v", ms, got)
+	}
+}
+
+// TestCodecParamsMarkerScope pins that a marker refers back only within its
+// own frame: a frame whose first Params field is the marker is malformed
+// (the "leading marker" garbage case) even on a connection whose previous
+// frame carried a block.
+func TestCodecParamsMarkerScope(t *testing.T) {
+	p := testParams(t)
+	epoch := time.Now()
+	m := runtime.Message{Kind: runtime.MsgVote, Round: 3, From: 1, Payload: core.Vote{P: p, Value: 5}}
+	var cache paramsCache
+	r := &reader{b: encodeOne(t, 1, 2, m, epoch)}
+	if _, _, err := readBatchHeader(r, &cache); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readMessageBody(r, epoch, &cache); err != nil {
+		t.Fatal(err)
+	}
+	r = &reader{b: leadingMarkerBody(t)}
+	if _, _, err := readBatchHeader(r, &cache); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readMessageBody(r, epoch, &cache); !errors.Is(err, errCodec) {
+		t.Fatalf("marker leading a frame after a block in the previous frame: err = %v, want a codec error", err)
+	}
+}
+
+// Layout of voteBody's one-message batch frame body: an 8-byte header
+// (version, seq, count, kind, flags, round, from, to — all single-byte
+// varints here), the payload tag, a 13-byte Params block (n and colors one
+// byte each, gamma 8, variant, passes, minVotes one each), then the vote's
+// Value (8) and Index (4).
+const (
+	voteHeaderLen = 8
+	voteParamsAt  = voteHeaderLen + 1
+	voteParamsLen = 13
+)
+
+// voteBody is one valid single-vote batch frame body.
+func voteBody(t testing.TB) []byte {
+	return encodeOne(t, 1, 2, runtime.Message{
+		Kind: runtime.MsgPush, Round: 3, From: 1,
+		Payload: core.Vote{P: testParams(t), Value: 5},
+	}, time.Now())
+}
+
+// leadingMarkerBody is voteBody with its Params block replaced by the
+// marker: a frame whose first payload refers to a block that was never sent.
+func leadingMarkerBody(t testing.TB) []byte {
+	body := voteBody(t)
+	b := append([]byte{}, body[:voteParamsAt]...)
+	b = append(b, paramsMarker)
+	return append(b, body[voteParamsAt+voteParamsLen:]...)
 }
 
 // TestCodecAckRoundTrip covers both polarities of every bit of a batch ack,
@@ -218,14 +369,7 @@ func TestCodecParamsCache(t *testing.T) {
 func TestCodecAckRoundTrip(t *testing.T) {
 	const count = 11
 	for _, ok := range []bool{true, false} {
-		sent := make([]byte, (count+7)/8)
-		for i := 0; i < count; i++ {
-			if ok == (i%3 == 0) {
-				bitmapSet(sent, i)
-			}
-		}
-		frame := appendBatchAckFrame(nil, 42, sent, count)
-		seq, bits, n, err := decodeBatchAck(frame[5:])
+		seq, bits, n, err := decodeBatchAck(ackFrame(ok)[5:])
 		if err != nil || seq != 42 || n != count {
 			t.Fatalf("ack round trip: seq=%d count=%d err=%v", seq, n, err)
 		}
@@ -237,6 +381,19 @@ func TestCodecAckRoundTrip(t *testing.T) {
 	}
 }
 
+// ackFrame is a full batch-ack frame of 11 results, sequence number 42, with
+// bit i set exactly when (i%3 == 0) == ok.
+func ackFrame(ok bool) []byte {
+	const count = 11
+	sent := make([]byte, (count+7)/8)
+	for i := 0; i < count; i++ {
+		if ok == (i%3 == 0) {
+			bitmapSet(sent, i)
+		}
+	}
+	return appendBatchAckFrame(nil, 42, sent, count)
+}
+
 // TestCodecRejectsMalformed walks the garbage taxonomy: every malformed body
 // must come back as a codec error, never a panic or a silent success.
 func TestCodecRejectsMalformed(t *testing.T) {
@@ -245,62 +402,95 @@ func TestCodecRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: err = %v, want a codec error", name, err)
 		}
 	}
-	acks := map[string][]byte{
-		"truncated ack":       {0x01},
-		"ack of zero":         {0x01, 0x00},
-		"ack bitmap short":    {0x01, 0x09, 0xFF},
-		"ack bitmap too long": {0x01, 0x01, 0x01, 0x00},
-	}
-	for name, b := range acks {
+	for name, b := range malformedAcks {
 		if _, _, _, err := decodeBatchAck(b); !errors.Is(err, errCodec) {
 			t.Errorf("%s: err = %v, want a codec error", name, err)
 		}
 	}
 }
 
+// malformedAcks is the garbage taxonomy of batch ack bodies.
+var malformedAcks = map[string][]byte{
+	"truncated ack":       {0x01},
+	"ack of zero":         {0x01, 0x00},
+	"ack bitmap short":    {0x01, 0x09, 0xFF},
+	"ack bitmap too long": {0x01, 0x01, 0x01, 0x00},
+}
+
 // malformedBatchBodies is the garbage taxonomy of batch frame bodies, each
 // derived from one valid single-vote body.
 func malformedBatchBodies(t testing.TB) map[string][]byte {
-	p := testParams(t)
-	body := encodeOne(t, 1, 2, runtime.Message{
-		Kind: runtime.MsgPush, Round: 3, From: 1,
-		Payload: core.Vote{P: p, Value: 5},
-	}, time.Now())
+	body := voteBody(t)
 	return map[string][]byte{
 		"empty":            {},
 		"bad version":      append([]byte{99}, body[1:]...),
+		"version 2":        append([]byte{2}, body[1:]...),
 		"zero count":       {batchVersion, 1, 0},
 		"truncated header": body[:4],
-		"truncated params": body[:len(body)-6],
+		"truncated params": body[:voteParamsAt+7],
+		"truncated vote":   body[:len(body)-2],
+		"leading marker":   leadingMarkerBody(t),
 		"trailing bytes":   append(append([]byte{}, body...), 0xAA),
-		// The 8-byte header (version, seq, count, kind, flags, round, from, to —
-		// all single-byte varints here) followed by a tag outside the payload
-		// set.
-		"bad payload tag": append(append([]byte{}, body[:8]...), 0x7F),
+		"bad payload tag":  append(append([]byte{}, body[:voteHeaderLen]...), 0x7F),
 	}
 }
 
 // TestCodecRejectsHugeCounts pins the allocation guard: a garbage list count
-// larger than the frame's remaining bytes is rejected before any allocation
-// of that size.
+// whose fixed-width entries would overrun the frame is rejected before any
+// allocation of that size — including a count no larger than the bytes left,
+// which a one-byte-per-entry bound would have let through.
 func TestCodecRejectsHugeCounts(t *testing.T) {
-	if _, _, _, err := decodeOne(hugeCountBody(t), time.Now()); !errors.Is(err, errCodec) {
-		t.Fatalf("err = %v, want a codec error", err)
+	for name, body := range overrunCountBodies(t) {
+		var err error
+		var before, after stdruntime.MemStats
+		stdruntime.ReadMemStats(&before)
+		const reps = 8
+		for i := 0; i < reps; i++ {
+			_, _, _, err = decodeOne(body, time.Now())
+		}
+		stdruntime.ReadMemStats(&after)
+		if !errors.Is(err, errCodec) {
+			t.Errorf("%s: err = %v, want a codec error", name, err)
+		}
+		// Honouring the count would allocate 64 KiB a decode; the rejection
+		// itself costs an error value.
+		if per := (after.TotalAlloc - before.TotalAlloc) / reps; per > 16<<10 {
+			t.Errorf("%s: rejecting allocated %d bytes a decode", name, per)
+		}
 	}
 }
 
-// hugeCountBody is a one-message batch body whose intentions payload claims
-// 2^56 votes in a frame of a few dozen bytes.
-func hugeCountBody(t testing.TB) []byte {
+// overrunCountBodies are one-message batch bodies whose list count overruns
+// the frame: an intentions payload claiming 2^56 entries in a few dozen
+// bytes, and an intentions and a certificate payload claiming 4096 entries
+// followed by 4096 bytes — one byte an entry where each needs twelve.
+func overrunCountBodies(t testing.TB) map[string][]byte {
 	p := testParams(t)
-	// Hand-build an intentions payload claiming 2^40 votes in a tiny frame.
-	pb, err := appendParams([]byte{batchVersion, 1 /*seq*/, 1 /*count*/, byte(runtime.MsgReply), 0 /*flags*/, 1, 1, 1}, p)
-	if err != nil {
-		t.Fatal(err)
+	msg := func(payload gossip.Payload) []byte {
+		return encodeOne(t, 1, 1, runtime.Message{Kind: runtime.MsgReply, Round: 1, From: 1, Payload: payload}, time.Now())
 	}
-	// Splice the payload tag in front of the params block we appended.
-	msg := append(pb[:8], append([]byte{payIntentions}, pb[8:]...)...)
-	return append(msg, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01) // uvarint 2^56
+	// Each empty list's count is a single zero byte: the intentions count
+	// ends the body, the certificate's sits before Color and Owner.
+	intents := msg(core.Intentions{P: p})
+	intents = intents[:len(intents)-1]
+	cert := msg(&core.Certificate{P: p})
+	cert = cert[:len(cert)-1-8]
+	const count = 4096
+	fill := make([]byte, count)
+	return map[string][]byte{
+		"intentions 2^56":            binary.AppendUvarint(append([]byte{}, intents...), 1<<56),
+		"intentions bytes, entries":  append(binary.AppendUvarint(append([]byte{}, intents...), count), fill...),
+		"certificate bytes, entries": append(binary.AppendUvarint(append([]byte{}, cert...), count), fill...),
+	}
+}
+
+// readFrameInputs are length-prefixed inputs to readFrame: a zero and an
+// oversized length, both connection-fatal codec errors, and a body truncated
+// by the end of the stream, an I/O error.
+var readFrameInputs = map[string][]byte{
+	"zero length":      {0, 0, 0, 0},
+	"oversized length": {0xFF, 0xFF, 0xFF, 0xFF},
+	"truncated body":   {0, 0, 0, 9, 1, 2},
 }
 
 // TestReadFrameBounds pins the frame-length guard: zero and oversized
@@ -308,16 +498,87 @@ func hugeCountBody(t testing.TB) []byte {
 // as an I/O error — all without allocating MaxFrame-scale buffers for
 // garbage.
 func TestReadFrameBounds(t *testing.T) {
-	var buf []byte
-	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 0}), &buf); !errors.Is(err, errCodec) {
-		t.Errorf("zero length: err = %v", err)
+	for name, in := range readFrameInputs {
+		var buf []byte
+		_, err := readFrame(bytes.NewReader(in), &buf)
+		if err == nil {
+			t.Errorf("%s: no error", name)
+		}
+		if name != "truncated body" && !errors.Is(err, errCodec) {
+			t.Errorf("%s: err = %v, want a codec error", name, err)
+		}
 	}
-	if _, err := readFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF}), &buf); !errors.Is(err, errCodec) {
-		t.Errorf("oversized length: err = %v", err)
+}
+
+// FuzzReadFrame feeds arbitrary bytes to readFrame, the first parser every
+// inbound byte meets on both sides of a connection. It must never panic and
+// never size its buffer past MaxFrame; a length of zero or above MaxFrame must
+// be a codec error; a stream shorter than its length must fail; and anything
+// else must come back as exactly the body the length announced. Seeds: the
+// TestReadFrameBounds inputs and a valid ack frame.
+func FuzzReadFrame(f *testing.F) {
+	for _, in := range readFrameInputs {
+		f.Add(in)
 	}
-	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 9, 1, 2}), &buf); err == nil {
-		t.Error("truncated body: no error")
+	f.Add(ackFrame(true))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var buf []byte
+		body, err := readFrame(bytes.NewReader(in), &buf)
+		if cap(buf) > MaxFrame {
+			t.Fatalf("buffer grown to %d bytes, past MaxFrame", cap(buf))
+		}
+		if len(in) < 4 {
+			if err == nil {
+				t.Fatal("no length prefix, no error")
+			}
+			return
+		}
+		n := binary.BigEndian.Uint32(in)
+		switch {
+		case n == 0 || n > MaxFrame:
+			if !errors.Is(err, errCodec) {
+				t.Fatalf("length %d: err = %v, want a codec error", n, err)
+			}
+		case uint64(len(in)) < 4+uint64(n):
+			if err == nil {
+				t.Fatalf("length %d with %d body bytes: no error", n, len(in)-4)
+			}
+		case err != nil || !bytes.Equal(body, in[4:4+n]):
+			t.Fatalf("length %d: got % x, %v; want the %d bytes after the prefix", n, body, err, n)
+		}
+	})
+}
+
+// FuzzDecodeBatchAck feeds arbitrary bytes to the ack parser every outbound
+// connection's reader runs. What it rejects must be a codec error; what it
+// accepts must round-trip through appendBatchAckFrame to the same sequence
+// number, count and bitmap. Seeds: the TestCodecAckRoundTrip frames and the
+// malformed-ack table.
+func FuzzDecodeBatchAck(f *testing.F) {
+	for _, ok := range []bool{true, false} {
+		f.Add(ackFrame(ok)[5:])
 	}
+	for _, b := range malformedAcks {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		seq, bits, count, err := decodeBatchAck(body)
+		if err != nil {
+			if !errors.Is(err, errCodec) {
+				t.Fatalf("rejected with %v, not a codec error", err)
+			}
+			return
+		}
+		frame := appendBatchAckFrame(nil, seq, bits, count)
+		if frame[4] != frameBatchAck {
+			t.Fatalf("re-encoded frame type %d", frame[4])
+		}
+		seq2, bits2, count2, err := decodeBatchAck(frame[5:])
+		if err != nil || seq2 != seq || count2 != count || !bytes.Equal(bits2, bits) {
+			t.Fatalf("ack changed across a round trip: (%d, %d, % x) -> (%d, %d, % x), err %v",
+				seq, count, bits, seq2, count2, bits2, err)
+		}
+	})
 }
 
 // FuzzReadBatch feeds arbitrary bytes to the batch-frame parser the serve loop
@@ -325,14 +586,18 @@ func TestReadFrameBounds(t *testing.T) {
 // the trailing-byte check. It must never panic; what it rejects must be a
 // codec error; and what it accepts must round-trip — re-encoding the decoded
 // messages gives a frame that decodes to the same sequence number,
-// destinations and messages, byte for byte once re-encoded. Seeds: the
-// malformed-frame and huge-count tables, and one valid frame carrying every
-// payload shape.
+// destinations and messages. The invariant is on the decoded messages, not
+// the bytes: the encoder may write a Params marker where the input spelled
+// the block out. Seeds: the malformed-frame and overrun-count tables, one
+// valid frame carrying every payload shape, and one switching Params mid-
+// frame.
 func FuzzReadBatch(f *testing.F) {
 	for _, b := range malformedBatchBodies(f) {
 		f.Add(b)
 	}
-	f.Add(hugeCountBody(f))
+	for _, b := range overrunCountBodies(f) {
+		f.Add(b)
+	}
 	epoch := time.Now()
 	var tos []int
 	var ms []runtime.Message
@@ -344,6 +609,8 @@ func FuzzReadBatch(f *testing.F) {
 		tos, ms = append(tos, 3*i), append(ms, m)
 	}
 	f.Add(encodeBatch(f, 9, tos, ms, epoch))
+	slices.Reverse(ms)
+	f.Add(encodeBatch(f, 10, tos, ms, epoch))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > MaxFrame {
 			return // readFrame never hands the parser more
@@ -355,16 +622,28 @@ func FuzzReadBatch(f *testing.F) {
 			}
 			return
 		}
-		again := encodeBatch(t, seq, tos, ms, epoch)
-		seq2, tos2, ms2, err := decodeBatch(again, epoch)
+		seq2, tos2, ms2, err := decodeBatch(encodeBatch(t, seq, tos, ms, epoch), epoch)
 		if err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
 		if seq2 != seq || !reflect.DeepEqual(tos2, tos) {
 			t.Fatalf("header changed across a round trip: seq %d -> %d, to %v -> %v", seq, seq2, tos, tos2)
 		}
-		if !bytes.Equal(encodeBatch(t, seq2, tos2, ms2, epoch), again) {
-			t.Fatalf("messages changed across a round trip:\nfirst  %+v\nsecond %+v", ms, ms2)
+		for i := range ms {
+			if !sameMessage(ms[i], ms2[i], epoch) {
+				t.Fatalf("message %d changed across a round trip:\nfirst  %#v\nsecond %#v", i, ms[i], ms2[i])
+			}
 		}
 	})
+}
+
+// sameMessage reports whether two decoded messages carry the same content:
+// header, SentAt as its tick offset from the epoch (what the wire carries),
+// and payload. Payloads compare through %#v rather than reflect.DeepEqual
+// because NewParams admits a NaN gamma, and NaN != NaN.
+func sameMessage(a, b runtime.Message, epoch time.Time) bool {
+	return a.Kind == b.Kind && a.Round == b.Round && a.From == b.From &&
+		a.SentAt.IsZero() == b.SentAt.IsZero() &&
+		(a.SentAt.IsZero() || a.SentAt.Sub(epoch) == b.SentAt.Sub(epoch)) &&
+		fmt.Sprintf("%#v", a.Payload) == fmt.Sprintf("%#v", b.Payload)
 }

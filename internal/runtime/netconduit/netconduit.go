@@ -47,9 +47,14 @@ type SocketConduit struct {
 	dir     string // temp dir holding the unix socket, removed on Close
 	epoch   time.Time
 
-	nodes     sync.Map // int -> *runtime.Node: local nodes inbound frames route to
-	routes    sync.Map // int -> route: node IDs hosted behind other listeners
-	peerCache sync.Map // int -> *peer: memoized peerFor, invalidated by Route
+	// nodes holds the local nodes inbound frames route to, and peerCache
+	// memoizes peerFor, both indexed by node ID: the per-message lookups on
+	// both sides of the socket are two atomic loads each. Route invalidates
+	// the affected peerCache slot. routes, read only on a peerFor miss, holds
+	// the node IDs hosted behind other listeners (int -> route).
+	nodes     idTable[runtime.Node]
+	peerCache idTable[peer]
+	routes    sync.Map
 
 	// batchBytes caps one staged batch frame's body; 0 means
 	// defaultBatchBytes. Tests shrink it to force multi-frame windows.
@@ -122,7 +127,7 @@ func (c *SocketConduit) Addr() net.Addr { return c.ln.Addr() }
 // explicitly.
 func (c *SocketConduit) Register(n *runtime.Node) {
 	if n != nil {
-		c.nodes.Store(n.ID(), n)
+		c.nodes.store(n.ID(), n)
 	}
 }
 
@@ -130,7 +135,7 @@ func (c *SocketConduit) Register(n *runtime.Node) {
 // of this conduit's own.
 func (c *SocketConduit) Route(id int, network, addr string) {
 	c.routes.Store(id, route{network: network, addr: addr})
-	c.peerCache.Delete(id)
+	c.peerCache.store(id, nil)
 }
 
 // Deliver implements runtime.Conduit as a batch of one: encode the message,
@@ -157,12 +162,11 @@ func (c *SocketConduit) Deliver(dst *runtime.Node, m runtime.Message) bool {
 }
 
 // register lazily records dst as locally hosted. Load-then-store: on the
-// steady-state path the node is already known and a sync.Map Load is a
-// read-only fast path, where an unconditional Store would take the dirty-map
-// lock and allocate an entry per delivery.
+// steady-state path the node is already known and the check is one atomic
+// load, where a store would take the table's mutex per delivery.
 func (c *SocketConduit) register(dst *runtime.Node) {
-	if v, ok := c.nodes.Load(dst.ID()); !ok || v != dst {
-		c.nodes.Store(dst.ID(), dst)
+	if c.nodes.load(dst.ID()) != dst {
+		c.nodes.store(dst.ID(), dst)
 	}
 }
 
@@ -192,21 +196,12 @@ func (c *SocketConduit) Close() error {
 	return nil
 }
 
-// node resolves a locally hosted node ID; nil when unknown.
-func (c *SocketConduit) node(id int) *runtime.Node {
-	v, ok := c.nodes.Load(id)
-	if !ok {
-		return nil
-	}
-	return v.(*runtime.Node)
-}
-
 // peerFor returns (creating on first use) the outbound peer hosting id. The
 // per-node cache keeps the steady-state path off the global mutex and away
 // from the key-string allocation; Route invalidates the affected entry.
 func (c *SocketConduit) peerFor(id int) *peer {
-	if v, ok := c.peerCache.Load(id); ok {
-		return v.(*peer)
+	if p := c.peerCache.load(id); p != nil {
+		return p
 	}
 	network, addr := c.network, c.ln.Addr().String()
 	if v, ok := c.routes.Load(id); ok {
@@ -221,8 +216,51 @@ func (c *SocketConduit) peerFor(id int) *peer {
 		c.peers[key] = p
 	}
 	c.mu.Unlock()
-	c.peerCache.Store(id, p)
+	c.peerCache.store(id, p)
 	return p
+}
+
+// idTable maps node IDs to pointers through a slice indexed by ID. A load is
+// lock-free — one atomic load of the slice, one of the slot — and an ID never
+// stored, or out of range, loads nil. Stores take the mutex; a store past the
+// end grows the slice geometrically (at least doubling, the old slots copied
+// over), so filling a table costs amortized O(1) per ID, and because growth
+// copies under the same mutex no store can be lost to it. Storing nil past
+// the end is a no-op: the slot already loads nil.
+type idTable[T any] struct {
+	mu    sync.Mutex
+	slots atomic.Pointer[[]atomic.Pointer[T]]
+}
+
+func (t *idTable[T]) load(id int) *T {
+	if s := t.slots.Load(); s != nil && uint(id) < uint(len(*s)) {
+		return (*s)[id].Load()
+	}
+	return nil
+}
+
+func (t *idTable[T]) store(id int, v *T) {
+	if id < 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var cur []atomic.Pointer[T]
+	if s := t.slots.Load(); s != nil {
+		cur = *s
+	}
+	if id >= len(cur) {
+		if v == nil {
+			return
+		}
+		grown := make([]atomic.Pointer[T], max(id+1, 2*len(cur), 64))
+		for i := range cur {
+			grown[i].Store(cur[i].Load())
+		}
+		t.slots.Store(&grown)
+		cur = grown
+	}
+	cur[id].Store(v)
 }
 
 // accept owns the listener: every inbound connection gets its own serve
@@ -269,7 +307,7 @@ func (c *SocketConduit) serve(conn net.Conn) {
 	defer c.wg.Done()
 	defer c.dropConn(conn)
 	var buf, out, bits []byte
-	var cache paramsCache
+	var cache paramsCache // Params decoder state, this connection's frames only
 	batch := runtime.ChannelConduit{}.NewBatch()
 	var added []int32 // the frame positions of the Added messages, in Add order
 	for {
@@ -285,7 +323,7 @@ func (c *SocketConduit) serve(conn net.Conn) {
 			return
 		}
 		r := &reader{b: body[1:]}
-		seq, count, err := readBatchHeader(r)
+		seq, count, err := readBatchHeader(r, &cache)
 		if err != nil {
 			c.rejects.Add(1)
 			return
@@ -303,7 +341,7 @@ func (c *SocketConduit) serve(conn net.Conn) {
 				c.rejects.Add(1)
 				return
 			}
-			if node := c.node(to); node != nil {
+			if node := c.nodes.load(to); node != nil {
 				batch.Add(node, m)
 				added = append(added, int32(i))
 			}
@@ -498,11 +536,13 @@ type socketBatch struct {
 }
 
 // peerStage accumulates one peer's staged messages: their encoded bodies
-// back to back, and each one's index in the wave's result slice.
+// back to back, each one's index in the wave's result slice, and the Params
+// memory of the frame they will become (reset when the stage is sealed).
 type peerStage struct {
 	p    *peer
 	buf  []byte
 	idxs []int32
+	memo paramsMemo
 }
 
 // Add implements runtime.Batch: encode the message into its peer's staging
@@ -524,12 +564,13 @@ func (b *socketBatch) Add(dst *runtime.Node, m runtime.Message) {
 		b.active = append(b.active, st)
 	}
 	start := len(st.buf)
-	buf, err := appendMessageBody(st.buf, id, m, b.c.epoch)
+	buf, err := appendMessageBody(st.buf, id, m, b.c.epoch, &st.memo)
 	if err != nil {
 		st.buf = st.buf[:start]
-		// Only a payload type outside the protocol's set gets here: a
-		// programming error, not a transport condition. Fail loudly instead
-		// of folding it into the loss model.
+		// Only a payload outside the protocol's set — an unknown type, or
+		// Params no constructor builds — gets here: a programming error, not
+		// a transport condition. Fail loudly instead of folding it into the
+		// loss model.
 		panic(fmt.Sprintf("netconduit: %v", err))
 	}
 	st.buf = buf
@@ -613,6 +654,7 @@ func (b *socketBatch) dispatch(st *peerStage) {
 	b.frame = frame[:0]
 	st.buf = st.buf[:0]
 	st.idxs = st.idxs[:0]
+	st.memo = paramsMemo{}
 	if err != nil {
 		// Oversized frame: unreachable below the staging threshold, but fail
 		// as losses rather than wedge the round.

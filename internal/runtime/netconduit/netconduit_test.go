@@ -6,6 +6,7 @@ import (
 	"os"
 	stdruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -154,7 +155,8 @@ type closeWriter interface{ CloseWrite() error }
 // TestGarbageFramesRejected walks raw garbage into the listener — oversized
 // length prefix, unknown frame type (the retired single-message generation's
 // types 1 and 2 included, well-formed as their last speaker wrote them),
-// unsupported version, truncated body — and pins that each one is
+// unsupported version (a well-formed v2 batch frame included), truncated
+// body — and pins that each one is
 // connection-fatal (the writer sees EOF), counted as a reject, and leaves the
 // conduit fully usable.
 func TestGarbageFramesRejected(t *testing.T) {
@@ -166,15 +168,16 @@ func TestGarbageFramesRejected(t *testing.T) {
 			defer c.Close()
 			addr := c.Addr()
 			cases := [][]byte{
-				{0xFF, 0xFF, 0xFF, 0xFF},                           // length prefix beyond MaxFrame
-				{0, 0, 0, 3, 9, 9, 9},                              // unknown frame type 9
-				{0, 0, 0, 9, 1, 1, 1, 2, 0, 0, 1, 0, 0},            // retired type 1: a v1 message frame (vote, nil payload)
-				{0, 0, 0, 3, 2, 1, 1},                              // retired type 2: a v1 ack
-				{0, 0, 0, 10, frameBatch, batchVersion},            // body truncated by half-close
-				{0, 0, 0, 2, frameBatch, 99},                       // batch frame, batch version 99
-				{0, 0, 0, 4, frameBatch, batchVersion, 1, 0},       // batch of zero messages
-				{0, 0, 0, 5, frameBatch, batchVersion, 1, 9, 0},    // count 9 overruns the frame
-				{0, 0, 0, 6, frameBatch, batchVersion, 1, 1, 3, 0}, // message body truncated mid-header
+				{0xFF, 0xFF, 0xFF, 0xFF},                             // length prefix beyond MaxFrame
+				{0, 0, 0, 3, 9, 9, 9},                                // unknown frame type 9
+				{0, 0, 0, 9, 1, 1, 1, 2, 0, 0, 1, 0, 0},              // retired type 1: a v1 message frame (vote, nil payload)
+				{0, 0, 0, 3, 2, 1, 1},                                // retired type 2: a v1 ack
+				{0, 0, 0, 10, frameBatch, batchVersion},              // body truncated by half-close
+				{0, 0, 0, 2, frameBatch, 99},                         // batch frame, batch version 99
+				{0, 0, 0, 10, frameBatch, 2, 1, 1, 2, 0, 0, 1, 0, 0}, // a v2 batch frame (vote, nil payload)
+				{0, 0, 0, 4, frameBatch, batchVersion, 1, 0},         // batch of zero messages
+				{0, 0, 0, 5, frameBatch, batchVersion, 1, 9, 0},      // count 9 overruns the frame
+				{0, 0, 0, 6, frameBatch, batchVersion, 1, 1, 3, 0},   // message body truncated mid-header
 			}
 			for i, frame := range cases {
 				conn, err := net.Dial(addr.Network(), addr.String())
@@ -304,34 +307,134 @@ func TestBatchDeliver(t *testing.T) {
 }
 
 // TestDeliverSteadyStateAllocs is the alloc budget for the hot path: after
-// warm-up (peer dialed, pools primed, node registered), a Deliver of a
-// nil-payload message — encode, write, server decode, mailbox hand-off, ack
-// — allocates nothing on either side. Payload-free messages isolate the
-// transport: decoding a payload necessarily allocates its value.
+// warm-up (peer dialed, pools primed, node registered, Params cached), a
+// Deliver of a nil-payload message — encode, write, server decode, mailbox
+// hand-off, ack — allocates nothing on either side, and neither does a
+// Deliver of either query payload, which the decoder returns pre-boxed from
+// its Params cache. Votes, intention lists and certificates are not on the
+// budget: decoding them necessarily allocates their value.
 func TestDeliverSteadyStateAllocs(t *testing.T) {
 	for _, network := range networks {
 		t.Run(network, func(t *testing.T) {
-			rt, _ := testRuntime(t, 256, 8)
+			rt, p := testRuntime(t, 256, 8)
 			defer rt.Shutdown()
 			c := listen(t, network)
 			defer c.Close()
-			// Node 3 < 256 keeps the sync.Map key boxing on the runtime's
-			// small-integer cache, off the allocator.
-			m := runtime.Message{Kind: runtime.MsgVote, Round: 0, From: 1}
-			for i := 0; i < 8; i++ {
-				if !c.Deliver(rt.Node(3), m) {
-					t.Fatal("warm-up delivery failed")
+			// Round-0 pushes are ignored by the agent, so handling them on
+			// the host allocates nothing either.
+			for _, m := range []runtime.Message{
+				{Kind: runtime.MsgVote, Round: 0, From: 1},
+				{Kind: runtime.MsgPush, Round: 0, From: 1, Payload: core.IntentQuery{P: p}},
+				{Kind: runtime.MsgPush, Round: 0, From: 1, Payload: core.CertQuery{P: p}},
+			} {
+				for i := 0; i < 8; i++ {
+					if !c.Deliver(rt.Node(3), m) {
+						t.Fatal("warm-up delivery failed")
+					}
 				}
-			}
-			avg := testing.AllocsPerRun(64, func() {
-				if !c.Deliver(rt.Node(3), m) {
-					t.Fatal("steady-state delivery failed")
+				avg := testing.AllocsPerRun(64, func() {
+					if !c.Deliver(rt.Node(3), m) {
+						t.Fatal("steady-state delivery failed")
+					}
+				})
+				if avg != 0 {
+					t.Fatalf("steady-state Deliver of %T allocates %.1f objects/op, want 0", m.Payload, avg)
 				}
-			})
-			if avg != 0 {
-				t.Fatalf("steady-state Deliver allocates %.1f objects/op, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestRoutingConcurrentWithInbound runs the routing tables' writers against
+// their readers under the race detector: one goroutine Registers nodes in
+// ascending ID order, so the node table grows while it is read, and another
+// re-Routes IDs at the conduit's own listener, invalidating peer-cache slots,
+// while a batch of deliveries streams inbound frames through both tables.
+// Every delivery must still land.
+func TestRoutingConcurrentWithInbound(t *testing.T) {
+	for _, network := range networks {
+		t.Run(network, func(t *testing.T) {
+			const n = 256
+			rt, p := testRuntime(t, n, 12)
+			defer rt.Shutdown()
+			c := listen(t, network)
+			defer c.Close()
+			addr := c.Addr()
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for id := 0; id < n; id++ {
+					c.Register(rt.Node(id))
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for id := 0; ; id = (id + 7) % n {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					c.Route(id, addr.Network(), addr.String())
+				}
+			}()
+			b := c.NewBatch()
+			for wave := 0; wave < 8; wave++ {
+				for id := n - 1; id >= 0; id -= 3 {
+					b.Add(rt.Node(id), voteMsg(p))
+				}
+				for i, ok := range b.Flush() {
+					if !ok {
+						t.Errorf("wave %d: delivery %d lost", wave, i)
+					}
+				}
+			}
+			close(stop)
+			wg.Wait()
+		})
+	}
+}
+
+// TestIDTable pins the routing table's contract: unknown, negative and
+// out-of-range IDs load nil, growth keeps every stored slot, storing nil past
+// the end does not grow the table, and growth is geometric — filling IDs
+// 0..n-1 in order reallocates O(log n) times, not once per ID.
+func TestIDTable(t *testing.T) {
+	var tab idTable[int]
+	if tab.load(0) != nil || tab.load(-1) != nil {
+		t.Fatal("empty table loaded a value")
+	}
+	tab.store(5, nil)
+	if tab.slots.Load() != nil {
+		t.Fatal("storing nil grew the table")
+	}
+	const n = 5000
+	vals := make([]int, n)
+	grows := 0
+	var last *[]atomic.Pointer[int]
+	for id := range vals {
+		vals[id] = id
+		tab.store(id, &vals[id])
+		if s := tab.slots.Load(); s != last {
+			grows, last = grows+1, s
+		}
+	}
+	if grows > 8 {
+		t.Fatalf("filling %d IDs grew the table %d times", n, grows)
+	}
+	for id := range vals {
+		if got := tab.load(id); got != &vals[id] {
+			t.Fatalf("load(%d) = %v after growth", id, got)
+		}
+	}
+	if tab.load(-1) != nil || tab.load(1<<40) != nil {
+		t.Fatal("out-of-range ID loaded a value")
+	}
+	tab.store(7, nil)
+	if tab.load(7) != nil {
+		t.Fatal("stored nil still loads the old value")
 	}
 }
 
@@ -363,7 +466,7 @@ func batchAckingListener(t *testing.T, ackFrames int) net.Listener {
 						return // kill the conn with this frame unacked
 					}
 					r := &reader{b: body[1:]}
-					seq, count, err := readBatchHeader(r)
+					seq, count, err := readBatchHeader(r, &paramsCache{})
 					if err != nil {
 						return
 					}

@@ -177,6 +177,10 @@ type EdgeMarkovian struct {
 	born    []uint64  // scratch: packed pairs born this round
 	flips   int
 	started bool
+
+	// The skip laws of the three scans, prepared once: the stationary
+	// π = birth/(birth+death) for Start, birth and death for Advance.
+	piGeo, birthGeo, deathGeo rng.Geo
 }
 
 var _ Dynamic = (*EdgeMarkovian)(nil)
@@ -193,17 +197,21 @@ func NewEdgeMarkovian(n int, birth, death float64) *EdgeMarkovian {
 		panic("topo: NewEdgeMarkovian needs birth, death in [0, 1] with birth+death > 0")
 	}
 	return &EdgeMarkovian{
-		n:     n,
-		birth: birth,
-		death: death,
-		name:  fmt.Sprintf("edge-markovian(%g,%g)", birth, death),
+		n:        n,
+		birth:    birth,
+		death:    death,
+		name:     fmt.Sprintf("edge-markovian(%g,%g)", birth, death),
+		piGeo:    rng.NewGeo(birth / (birth + death)),
+		birthGeo: rng.NewGeo(birth),
+		deathGeo: rng.NewGeo(death),
 	}
 }
 
 // pairs returns the number of potential edges.
 //
 // Integer-exactness audit for the n ≤ MaxDynamicN = 2²⁰ range (pinned by
-// TestEdgeMarkovianPairAtRoundTrips at the cap):
+// TestPairCursorMatchesPairIndex and TestEdgeMarkovianPairAtRoundTrips at the
+// cap):
 //
 //   - pairs = n(n−1)/2 ≈ 5.5×10¹¹ at the cap. The intermediate n·(n−1) ≈ 2⁴⁰
 //     is far below the 2⁶³ int overflow line, and pairs itself is < 2⁵³, so
@@ -215,6 +223,8 @@ func NewEdgeMarkovian(n int, birth, death float64) *EdgeMarkovian {
 //     2·float64(i) < 2⁴¹ are both exactly representable (< 2⁵³); the only
 //     inexact step is the Sqrt, whose ±1-ulp error the integer fixup loops
 //     absorb.
+//   - pairCursor only adds row lengths to a row base, so every value it
+//     holds is a pair index ≤ pairs: exact on int.
 func (e *EdgeMarkovian) pairs() int { return e.n * (e.n - 1) / 2 }
 
 // pairIndex maps u < v to the row-major index of the pair among all u' < v'.
@@ -246,6 +256,45 @@ func (e *EdgeMarkovian) pairAt(i int) (u, v int32) {
 		row++
 	}
 	return int32(row), int32(row + 1 + i - e.rowBase(row))
+}
+
+// pairCursor decodes an ascending sequence of row-major pair indices into
+// (u, v). Start's and Advance's skip-scans visit indices in increasing order,
+// so the next index's row is the current row or a later one: a nearby index
+// is reached by walking forward row by row (row u holds n−1−u pairs) with
+// adds only, and only an index more than cursorWalk rows' worth of pairs
+// ahead pays pairAt's square root. Dense scans — many hits per row — so
+// never leave the adds, while a sparse one never walks far between hits.
+type pairCursor struct {
+	e    *EdgeMarkovian
+	row  int // current row u
+	base int // rowBase(row)
+	end  int // rowBase(row+1)
+}
+
+// cursorWalk is how many current-row lengths ahead pairCursor still walks to
+// rather than jumping: a row step is an add and a compare, a jump a square
+// root and the fix-up loops.
+const cursorWalk = 8
+
+// cursor starts a pair cursor at index 0.
+func (e *EdgeMarkovian) cursor() pairCursor { return pairCursor{e: e, end: e.n - 1} }
+
+// at decodes index i, which must not be below the previous call's.
+func (c *pairCursor) at(i int) (u, v int32) {
+	n := c.e.n
+	if i >= c.end && i-c.end >= cursorWalk*(n-1-c.row) {
+		row, _ := c.e.pairAt(i)
+		c.row = int(row)
+		c.base = c.e.rowBase(c.row)
+		c.end = c.base + n - 1 - c.row
+	}
+	for i >= c.end {
+		c.row++
+		c.base = c.end
+		c.end += n - 1 - c.row
+	}
+	return int32(c.row), int32(c.row + 1 + i - c.base)
 }
 
 // pack encodes an edge's endpoints for the present-edge list.
@@ -292,8 +341,9 @@ func (e *EdgeMarkovian) Start(seed uint64) {
 		}
 	}
 	e.edges = e.edges[:0]
-	for i, p := e.r.SkipPast(0, pi), uint64(e.pairs()); i < p; i = e.r.SkipPast(i+1, pi) {
-		e.insert(e.pairAt(int(i)))
+	c := e.cursor()
+	for i, p := e.piGeo.SkipPast(&e.r, 0), uint64(e.pairs()); i < p; i = e.piGeo.SkipPast(&e.r, i+1) {
+		e.insert(c.at(int(i)))
 	}
 	e.flips = 0
 	e.started = true
@@ -314,9 +364,9 @@ func (e *EdgeMarkovian) Advance(round int) {
 	// state — deaths are applied only after this scan — so a pair dying this
 	// round cannot also be reborn in the same round.
 	e.born = e.born[:0]
-	for i, p := e.r.SkipPast(0, e.birth), uint64(e.pairs()); i < p; i = e.r.SkipPast(i+1, e.birth) {
-		u, v := e.pairAt(int(i))
-		if pk := pack(u, v); !e.present.Has(pk) {
+	c := e.cursor()
+	for i, p := e.birthGeo.SkipPast(&e.r, 0), uint64(e.pairs()); i < p; i = e.birthGeo.SkipPast(&e.r, i+1) {
+		if pk := pack(c.at(int(i))); !e.present.Has(pk) {
 			e.born = append(e.born, pk)
 		}
 	}
@@ -325,7 +375,7 @@ func (e *EdgeMarkovian) Advance(round int) {
 	// descending order, so a swap-remove only ever moves in an edge from
 	// beyond every still-condemned position.
 	e.deadPos = e.deadPos[:0]
-	for i, p := e.r.SkipPast(0, e.death), uint64(len(e.edges)); i < p; i = e.r.SkipPast(i+1, e.death) {
+	for i, p := e.deathGeo.SkipPast(&e.r, 0), uint64(len(e.edges)); i < p; i = e.deathGeo.SkipPast(&e.r, i+1) {
 		e.deadPos = append(e.deadPos, int32(i))
 	}
 	for k := len(e.deadPos) - 1; k >= 0; k-- {

@@ -345,6 +345,47 @@ func TestEdgeMarkovianIncrementalMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestPairCursorMatchesPairIndex pins the engine's scan decode: over every
+// pair of several sizes, visited one index at a time and with skips both
+// shorter and longer than the cursor's walk limit, the cursor's (u, v) must
+// encode back to the index it was given; at the size cap it must land on both
+// sides of row boundaries spread over the whole population, reached by walks
+// and by jumps.
+func TestPairCursorMatchesPairIndex(t *testing.T) {
+	for _, n := range []int{2, 3, 4, 24, 257} {
+		g := NewEdgeMarkovian(n, 0.1, 0.1)
+		for _, stride := range []int{1, 2, 7, n - 1, n + 3, 9 * n, 40 * n} {
+			c := g.cursor()
+			for i := 0; i < g.pairs(); i += stride {
+				u, v := c.at(i)
+				if u < 0 || v <= u || int(v) >= n || g.pairIndex(int(u), int(v)) != i {
+					t.Fatalf("n=%d stride=%d: cursor at %d = (%d,%d)", n, stride, i, u, v)
+				}
+			}
+		}
+	}
+	g := NewEdgeMarkovian(MaxDynamicN, 0.001, 0.5)
+	c := g.cursor()
+	last := g.pairs() - 1
+	check := func(i, wantU, wantV int) {
+		t.Helper()
+		if u, v := c.at(i); int(u) != wantU || int(v) != wantV {
+			t.Fatalf("n=%d: cursor at %d = (%d,%d), want (%d,%d)", MaxDynamicN, i, u, v, wantU, wantV)
+		}
+	}
+	check(0, 0, 1)
+	check(1, 0, 2)
+	check(MaxDynamicN-2, 0, MaxDynamicN-1)
+	for row := 1; row < MaxDynamicN-1; row += 1021 {
+		i := g.rowBase(row)
+		check(i-1, row-1, MaxDynamicN-1)
+		check(i, row, row+1)
+	}
+	check(last-2, MaxDynamicN-3, MaxDynamicN-2)
+	check(last-1, MaxDynamicN-3, MaxDynamicN-1)
+	check(last, MaxDynamicN-2, MaxDynamicN-1)
+}
+
 // TestEdgeMarkovianPairAtRoundTrips pins the pair-index decode against the
 // encode over every pair of several sizes (including the decode's float
 // boundary behavior at the largest supported n).

@@ -38,9 +38,12 @@ func (b *bitsetRefEdgeMarkovian) pairIndex(u, v int) int {
 	return u*(2*b.n-u-1)/2 + (v - u - 1)
 }
 
-// pairAt delegates to the production decode: the decode itself is pinned
-// separately by the round-trip test, and sharing it keeps the oracle focused
-// on the one thing under test — membership representation.
+// pairAt decodes every index in closed form, where the engine's scans walk a
+// pairCursor, and the oracle draws through rng.SkipPast(p) where the engine
+// draws through prepared rng.Geo laws: matching the engine round for round
+// pins both of those as bit-identical to what they replaced, on top of the
+// membership representation under test. The closed form itself is pinned by
+// its round-trip test.
 func (b *bitsetRefEdgeMarkovian) pairAt(i int) (u, v int32) {
 	e := EdgeMarkovian{n: b.n}
 	return e.pairAt(i)
