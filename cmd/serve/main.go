@@ -39,15 +39,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           newHandler(options{maxTrials: *maxTrials, baseCtx: ctx}),
-		ReadHeaderTimeout: 5 * time.Second,
-		// Request contexts derive from the signal context, so shutdown
-		// cancels in-flight batches promptly mid-chunk instead of waiting
-		// out a million-trial stream.
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
+	srv := newServer(*addr, newHandler(options{maxTrials: *maxTrials, baseCtx: ctx}), ctx)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("serve: listening on %s (max trials per request: %d)", *addr, *maxTrials)
@@ -62,5 +54,25 @@ func main() {
 			log.Printf("serve: shutdown: %v", err)
 		}
 		fmt.Fprintln(os.Stderr, "serve: stopped")
+	}
+}
+
+// newServer configures the HTTP server around handler. ReadTimeout bounds
+// reading a whole request, body included, so a client that sends its headers
+// and then stalls its body cannot hold a handler in io.ReadAll forever.
+// net/http clears the read deadline once the handler has read the body, so a
+// trial batch may run far longer than ReadTimeout. IdleTimeout bounds a
+// keep-alive connection between requests.
+func newServer(addr string, handler http.Handler, ctx context.Context) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+		// Request contexts derive from the signal context, so shutdown
+		// cancels in-flight batches promptly mid-chunk instead of waiting
+		// out a million-trial stream.
+		BaseContext: func(net.Listener) context.Context { return ctx },
 	}
 }

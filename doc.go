@@ -107,15 +107,18 @@
 // per-worker cells merged at Snapshot time. Ownership rule: batched results
 // carry plain values only, and the public Result type makes that structural
 // (no reference fields at all). Allocation-budget tests pin the steady
-// state, and CI gates `go test -bench=ScenarioRunnerBatch` against the
-// committed BENCH_BASELINE.json via cmd/benchdiff.
+// state, and CI gates six benchmark rows against the committed
+// BENCH_BASELINE.json via cmd/benchdiff: ScenarioRunnerBatch/workers=1,
+// DynamicScenarioBatch/workers=1, SimStaticStream/n=1024,
+// EdgeMarkovianAdvance/n=16384/death=0.001, RuntimeRound/n=1024 and
+// SocketConduitRound/n=1024.
 //
 // Supporting substrates: internal/sim (experiment tables T0–T8, E9–E16,
 // built on the public API), internal/topo (static graphs and dynamic
 // graph processes), internal/rng (splittable
 // xoshiro256**), internal/stats (streaming Welford moments, counting-
 // histogram medians, exponential-bucket quantile sketches), internal/metrics,
-// internal/par, internal/trace, internal/wire.
+// internal/par, internal/trace.
 //
 // Entry points: cmd/serve (HTTP front end), cmd/fairconsensus (single runs;
 // -scenario by name, -scenario-json documents, -dump-scenario canonical

@@ -72,9 +72,12 @@ func runtimeRun(t *testing.T, name string, seed uint64, opts runtime.Options) (c
 
 // equivalenceBuiltins is the pinned scenario table: static topologies, the
 // loss and crash fault axes, a dynamic graph, all three protocol variants,
-// and the composite variant-on-dynamic-graph scenario.
+// the composite variant-on-dynamic-graph scenario, and two many-color runs
+// (one color per node, and a Zipf-skewed four).
 var equivalenceBuiltins = []string{
 	"baseline",
+	"leader-election",
+	"zipf-skew",
 	"lossy-links",
 	"crash-mid-voting",
 	"churn",

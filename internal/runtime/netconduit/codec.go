@@ -72,6 +72,9 @@
 // malformed frame (bad tag, truncated field, oversized length, garbage
 // trailing bytes): the receiver drops the connection rather than guess, and
 // the sender's pending deliveries fail as transport losses.
+//
+// PayloadBits measures a payload on this encoder; experiment table T0 uses it
+// to report Protocol P's message sizes as the bytes a socket really carries.
 package netconduit
 
 import (
@@ -375,6 +378,17 @@ func appendPayload(b []byte, p gossip.Payload, memo *paramsMemo) ([]byte, error)
 		return b, nil
 	}
 	return b, codecErr("unencodable payload type %T", p)
+}
+
+// PayloadBits returns the encoded size of p in bits: p as the first payload
+// of a frame, so its Params block is written in full. An unencodable payload
+// returns the codec's error.
+func PayloadBits(p gossip.Payload) (int, error) {
+	b, err := appendPayload(nil, p, &paramsMemo{})
+	if err != nil {
+		return 0, err
+	}
+	return 8 * len(b), nil
 }
 
 func appendVote(b []byte, v core.Vote, memo *paramsMemo) ([]byte, error) {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/runtime"
+	"repro/internal/theory"
 )
 
 // encodeOne encodes one message as a batch frame of one and returns the
@@ -128,6 +129,66 @@ func TestCodecRoundTripPayloads(t *testing.T) {
 		if payload != nil && got.Payload.SizeBits() != payload.SizeBits() {
 			t.Fatalf("payload %d: SizeBits %d -> %d", i, payload.SizeBits(), got.Payload.SizeBits())
 		}
+	}
+}
+
+// foreignPayload is a gossip.Payload the protocol never produces.
+type foreignPayload struct{}
+
+func (foreignPayload) SizeBits() int { return 1 }
+
+// TestPayloadBitsShape pins Theorem 4's O(log² n) message shape on the bytes
+// the socket sends, for a certificate of ⌈4μ⌉ votes (μ = theory.ExpectedVotes,
+// the good-execution upper band) and a full intention list. Fixed-width fields
+// exceed the paper's log-width accounting (SizeBits) at small n, so the test
+// pins the encoding's cost per entry and that its overhead over SizeBits
+// shrinks with n, not socket bits ≤ theory.MaxMessageBits.
+func TestPayloadBitsShape(t *testing.T) {
+	bits := func(p gossip.Payload) int {
+		t.Helper()
+		b, err := PayloadBits(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	prevCert, prevIntent := math.Inf(1), math.Inf(1)
+	for _, logn := range []int{6, 8, 10, 12, 14, 16, 20} {
+		n := 1 << logn
+		p := core.MustParams(n, 2, 3)
+		k := int(math.Ceil(4 * theory.ExpectedVotes(p, n)))
+		w := make([]core.WEntry, k)
+		for i := range w {
+			w[i] = core.WEntry{Voter: int32(i % n), Value: p.M}
+		}
+		cert := &core.Certificate{P: p, K: p.M - 1, W: w, Color: 1, Owner: int32(n - 1)}
+		empty := &core.Certificate{P: p, K: p.M - 1, Color: 1, Owner: int32(n - 1)}
+		votes := make([]core.Intent, p.Q)
+		for i := range votes {
+			votes[i] = core.Intent{H: p.M, Z: int32(n - 1)}
+		}
+		intents := core.Intentions{P: p, Votes: votes}
+
+		certBits, emptyBits := bits(cert), bits(empty)
+		countBytes := len(binary.AppendUvarint(nil, uint64(k)))
+		if got, want := certBits-emptyBits, 96*k+8*(countBytes-1); got != want {
+			t.Errorf("n=2^%d: %d W entries cost %d bits, want %d", logn, k, got, want)
+		}
+		if emptyBits > 272 {
+			t.Errorf("n=2^%d: empty certificate is %d bits, want <= 272", logn, emptyBits)
+		}
+		certRatio := float64(certBits) / float64(cert.SizeBits())
+		intentRatio := float64(bits(intents)) / float64(intents.SizeBits())
+		if certRatio > prevCert || intentRatio > prevIntent {
+			t.Errorf("n=2^%d: socket : SizeBits ratio rose (certificate %.3f after %.3f, intentions %.3f after %.3f)",
+				logn, certRatio, prevCert, intentRatio, prevIntent)
+		}
+		prevCert, prevIntent = certRatio, intentRatio
+		t.Logf("n=2^%d: certificate %d entries %d bits (%.2fx SizeBits), empty %d bits, intentions %.2fx",
+			logn, k, certBits, certRatio, emptyBits, intentRatio)
+	}
+	if _, err := PayloadBits(foreignPayload{}); !errors.Is(err, errCodec) {
+		t.Fatalf("PayloadBits(foreign payload) error = %v, want a codec error", err)
 	}
 }
 
