@@ -93,7 +93,9 @@ const (
 const MaxVotingPasses = 8
 
 // Protocol fixes the variant an instance runs. The zero value is the
-// baseline. It is all-scalar so Params stays comparable.
+// baseline. It is all-scalar so Params stays comparable. Params.WithProtocol
+// keeps Passes 0 and MinVotes 0 outside the variant each belongs to, and the
+// schedule relies on it: a nonzero Passes means retransmit.
 type Protocol struct {
 	Variant  ProtocolVariant
 	Passes   int // ProtocolRetransmit: total sends per vote (the per-item TTL)
@@ -210,13 +212,10 @@ func (p Params) WithProtocol(proto Protocol) (Params, error) {
 }
 
 // votingPasses is how many times the Voting phase repeats its q-round
-// push schedule: 1 everywhere except under ProtocolRetransmit.
-func (p *Params) votingPasses() int {
-	if p.Proto.Variant == ProtocolRetransmit && p.Proto.Passes > 1 {
-		return p.Proto.Passes
-	}
-	return 1
-}
+// push schedule: 1 everywhere except under ProtocolRetransmit. It reads
+// Passes alone, which WithProtocol leaves 0 under every other variant, so the
+// agents' per-message phase lookup compares no strings.
+func (p *Params) votingPasses() int { return max(1, p.Proto.Passes) }
 
 // TotalRounds is the protocol's running time: the Commitment, Find-Min and
 // Coherence phases of Q rounds each, a Voting phase of votingPasses·Q rounds

@@ -212,3 +212,47 @@ func TestMessageSizesScalePolylog(t *testing.T) {
 		}
 	}
 }
+
+// TestVotingPassesMatchesVariant pins the schedule of every protocol variant
+// to the variant-comparing rule votingPasses replaced: Passes repeats the
+// Voting phase only under retransmit. PhaseOf agrees at every round up to
+// past the end, and so does TotalRounds.
+func TestVotingPassesMatchesVariant(t *testing.T) {
+	base := MustParams(64, 2, 3)
+	for _, proto := range []Protocol{
+		{},
+		{Variant: ProtocolLiveRetarget},
+		{Variant: ProtocolRetransmit},
+		{Variant: ProtocolRetransmit, Passes: MaxVotingPasses},
+		{Variant: ProtocolRelaxed, MinVotes: 5},
+	} {
+		p, err := base.WithProtocol(proto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes := 1
+		if p.Proto.Variant == ProtocolRetransmit && p.Proto.Passes > 1 {
+			passes = p.Proto.Passes
+		}
+		voting := passes * p.Q
+		if got, want := p.TotalRounds(), (3+passes)*p.Q+1; got != want {
+			t.Errorf("%+v: TotalRounds = %d, want %d", proto, got, want)
+		}
+		for round := 0; round <= p.TotalRounds()+p.Q; round++ {
+			want := PhaseVerification
+			switch {
+			case round < p.Q:
+				want = PhaseCommitment
+			case round < p.Q+voting:
+				want = PhaseVoting
+			case round < 2*p.Q+voting:
+				want = PhaseFindMin
+			case round < 3*p.Q+voting:
+				want = PhaseCoherence
+			}
+			if got := p.PhaseOf(round); got != want {
+				t.Fatalf("%+v: PhaseOf(%d) = %v, want %v", proto, round, got, want)
+			}
+		}
+	}
+}

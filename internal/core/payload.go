@@ -203,11 +203,19 @@ func (c *Certificate) String() string {
 }
 
 // SumVotesMod returns Σ values mod m, accumulating modularly so sums never
-// overflow for m up to 2^62.
+// overflow for m up to 2^62. Both addends stay below m, so the running sum
+// needs at most one subtraction a step, and only a value of at least m is
+// divided.
 func SumVotesMod(w []WEntry, m uint64) uint64 {
 	var sum uint64
 	for _, e := range w {
-		sum = (sum + e.Value%m) % m
+		v := e.Value
+		if v >= m {
+			v %= m
+		}
+		if sum += v; sum >= m {
+			sum -= m
+		}
 	}
 	return sum
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -162,6 +163,49 @@ func TestPayloadSizesPositive(t *testing.T) {
 	for i, pl := range payloads {
 		if pl.SizeBits() <= 0 {
 			t.Errorf("payload %d has non-positive size", i)
+		}
+	}
+}
+
+// TestSumVotesModMatchesDivision pins SumVotesMod's compare-and-subtract
+// accumulation to the two-divisions-per-entry formula it replaced, for
+// random values and the edge values 0, 1, m−1, m, m+1 and 2⁶⁴−1 at every
+// modulus up to 2⁶² the protocol can use.
+func TestSumVotesModMatchesDivision(t *testing.T) {
+	divide := func(w []WEntry, m uint64) uint64 {
+		var sum uint64
+		for _, e := range w {
+			sum = (sum + e.Value%m) % m
+		}
+		return sum
+	}
+	r := rng.New(11)
+	for _, m := range []uint64{2, 1 << 60, 1 << 62} {
+		edges := []uint64{0, 1, m - 1, m, m + 1, math.MaxUint64}
+		var w []WEntry
+		for _, a := range edges {
+			for _, b := range edges {
+				w = append(w[:0], WEntry{Value: a}, WEntry{Value: b}, WEntry{Value: a})
+				if got, want := SumVotesMod(w, m), divide(w, m); got != want {
+					t.Fatalf("m=%d, values %d, %d, %d: sum %d, want %d", m, a, b, a, got, want)
+				}
+			}
+		}
+		for trial := 0; trial < 200; trial++ {
+			w = w[:0]
+			for i := r.Intn(64); i > 0; i-- {
+				v := r.Uint64()
+				switch r.Intn(4) {
+				case 0:
+					v = edges[r.Intn(len(edges))]
+				case 1:
+					v %= 2 * m
+				}
+				w = append(w, WEntry{Voter: int32(i), Value: v})
+			}
+			if got, want := SumVotesMod(w, m), divide(w, m); got != want {
+				t.Fatalf("m=%d, W %v: sum %d, want %d", m, w, got, want)
+			}
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // BenchmarkSocketConduitRound measures one lockstep round when every
-// delivery crosses a Unix-domain loopback socket, coalesced into v2 batch
+// delivery crosses a Unix-domain loopback socket, coalesced into batch
 // frames with bitmap acks — a handful of writes per round instead of a
 // synchronous write→ack round trip per message. Read next to
 // BenchmarkRuntimeRound (same scenario through the in-process channel
@@ -82,11 +82,14 @@ func BenchmarkSocketConduitRound(b *testing.B) {
 // hosts and the kernel: one op encodes a full n = 1024 wave of one payload
 // shape into batch frames exactly as a socketBatch stages them (sealed at
 // defaultBatchBytes, Params memory reset per frame) and decodes every frame
-// as the serve loop does. Per message it reports the time (ns/msg), the heap
-// bytes and objects allocated (bytes/msg, allocs/msg — decoding a list,
-// vote or certificate allocates its value) and the encoded size
-// (wire-bytes/msg). The shapes are the protocol's traffic: intention-list
-// replies, votes, certificate replies, and queries. Ungated.
+// as the serve loop does, on fresh decoder state each op — a new connection —
+// so a list is decoded, not found in the tables of the op before. Per message
+// it reports the time (ns/msg), the heap bytes and objects allocated
+// (bytes/msg, allocs/msg — a vote, and a list the connection has not decoded
+// before, allocates its value) and the encoded size (wire-bytes/msg). The
+// shapes are the protocol's traffic: intention-list replies, votes,
+// certificate replies (all distinct), one certificate replied by every node —
+// a Find-Min wave, which prices the interned path — and queries. Ungated.
 func BenchmarkBatchCodec(b *testing.B) {
 	const n = 1024
 	p, err := core.NewParams(n, 2, 3.0)
@@ -122,6 +125,14 @@ func BenchmarkBatchCodec(b *testing.B) {
 			}
 			return &core.Certificate{P: p, K: r.Uint64n(p.M), W: w, Color: core.Color(i % 2), Owner: int32(i)}
 		})},
+		{"certificates-repeat", wave(func() func(int) gossip.Payload {
+			w := make([]core.WEntry, p.Q)
+			for k := range w {
+				w[k] = core.WEntry{Voter: int32(r.Intn(n)), Value: 1 + r.Uint64n(p.M)}
+			}
+			cert := &core.Certificate{P: p, K: r.Uint64n(p.M), W: w, Color: 1, Owner: 7}
+			return func(int) gossip.Payload { return cert }
+		}())},
 		{"queries", wave(func(i int) gossip.Payload {
 			if i%2 == 0 {
 				return core.IntentQuery{P: p}
@@ -134,7 +145,7 @@ func BenchmarkBatchCodec(b *testing.B) {
 		b.Run(sh.name, func(b *testing.B) {
 			var stage, frame []byte
 			var memo paramsMemo
-			var cache paramsCache
+			var cache decodeCache
 			var sink gossip.Payload
 			count, wire := 0, 0
 			// seal frames the staged bodies and decodes the frame.
@@ -159,7 +170,7 @@ func BenchmarkBatchCodec(b *testing.B) {
 				}
 			}
 			run := func() {
-				wire = 0
+				wire, cache = 0, decodeCache{}
 				for j, m := range sh.ms {
 					var err error
 					if stage, err = appendMessageBody(stage, j, m, epoch, &memo); err != nil {
@@ -173,7 +184,7 @@ func BenchmarkBatchCodec(b *testing.B) {
 					seal()
 				}
 			}
-			// One untimed pass sizes every buffer and primes the Params cache.
+			// One untimed pass sizes every buffer.
 			run()
 			var before, after stdruntime.MemStats
 			stdruntime.ReadMemStats(&before)

@@ -75,6 +75,25 @@
 //
 // PayloadBits measures a payload on this encoder; experiment table T0 uses it
 // to report Protocol P's message sizes as the bytes a socket really carries.
+//
+// # Shared list payloads
+//
+// The decoder keeps, per connection, the intention lists and certificates it
+// has decoded, keyed by their exact bytes after the Params field (the count ×
+// 12 entry bytes of a list; K through Owner of a certificate). A payload whose
+// bytes match one of them is returned as that same payload — the same
+// *core.Certificate, the same Votes slice — instead of a fresh copy. Protocol
+// P's Find-Min and Coherence phases broadcast the same few certificates to
+// every node, and an honest intention list never changes within a run, so most
+// list payloads on a connection are repeats. Only cleanly decoded payloads are
+// kept; a change of Params empties the tables, so every kept payload carries
+// the connection's current Params; and once their keys would pass internCap
+// (4 × MaxFrame) bytes they start over. This is safe because published
+// payloads are immutable (see core.Certificate and core.Intentions): receivers
+// read them and never write through them, and the channel conduit already
+// hands every receiver the sender's own pointer. Identical bytes decode to
+// identical content, so a deviator that varies its declarations must send
+// different bytes, and the first declaration a receiver records still binds.
 package netconduit
 
 import (
@@ -224,19 +243,46 @@ type paramsKey struct {
 	passes, minVotes int
 }
 
-// paramsCache is one connection's decoder state for Params. It memoizes the
-// last decoded block — a run speaks one parameter set, so after the first
+// internCap bounds the key bytes one connection's intern tables hold. A run
+// at n = 1024 publishes about 0.75 MB of distinct lists (n intention lists
+// and n certificates of about q = 30 entries, 12 bytes each), so the cap
+// holds a whole run; a peer sending more only makes the tables start over.
+const internCap = 4 * MaxFrame
+
+// decodeCache is one connection's decoder state. It memoizes the last
+// decoded Params block — a run speaks one parameter set, so after the first
 // message every block is a key comparison instead of a NewParams rebuild —
 // together with the two query payloads that carry nothing else, boxed once so
 // decoding a query allocates nothing. inFrame says a block has been read in
 // the current frame, which is what a Params marker refers back to.
-type paramsCache struct {
+//
+// intents and certs intern the list payloads decoded under p, keyed by their
+// exact encoded bytes after the Params field, so a list that crosses the
+// connection again is returned as the payload decoded the first time. A
+// Params change empties both, and so does reaching internCap; held counts
+// the key bytes they hold. Only the connection's serve goroutine touches it.
+type decodeCache struct {
 	key     paramsKey
 	p       core.Params
 	intentQ gossip.Payload // core.IntentQuery{P: p}
 	certQ   gossip.Payload // core.CertQuery{P: p}
 	ok      bool
 	inFrame bool
+
+	intents map[string]gossip.Payload    // core.Intentions, by its entry bytes
+	certs   map[string]*core.Certificate // by its bytes from K through Owner
+	held    int
+}
+
+// reserve makes room for one more entry under key, emptying both tables when
+// it would take them past internCap. The caller then stores the entry.
+func (c *decodeCache) reserve(key []byte) {
+	if c.held+len(key) > internCap || c.intents == nil {
+		c.intents = make(map[string]gossip.Payload)
+		c.certs = make(map[string]*core.Certificate)
+		c.held = 0
+	}
+	c.held += len(key)
 }
 
 // paramsMemo is one frame's encoder state for Params: the block last written
@@ -278,7 +324,7 @@ func appendParams(b []byte, p *core.Params, memo *paramsMemo) ([]byte, error) {
 // readParams decodes and validates one Params block or marker, rebuilding
 // the derived fields (q, m, wire widths) through the same constructors the
 // sender used. The result points into cache: valid until the next call.
-func readParams(r *reader, cache *paramsCache) (*core.Params, error) {
+func readParams(r *reader, cache *decodeCache) (*core.Params, error) {
 	n := r.uvarint()
 	if n == paramsMarker && !r.bad {
 		if !cache.inFrame {
@@ -312,6 +358,7 @@ func readParams(r *reader, cache *paramsCache) (*core.Params, error) {
 		}
 		cache.key, cache.p, cache.ok = key, p, true
 		cache.intentQ, cache.certQ = core.IntentQuery{P: p}, core.CertQuery{P: p}
+		cache.intents, cache.certs, cache.held = nil, nil, 0
 	}
 	cache.inFrame = true
 	return &cache.p, nil
@@ -413,8 +460,10 @@ func listCount(r *reader, width int) (int, bool) {
 	return int(n), true
 }
 
-// readPayload decodes one payload block.
-func readPayload(r *reader, cache *paramsCache) (gossip.Payload, error) {
+// readPayload decodes one payload block. An intention list or certificate
+// whose bytes after the Params field match one already decoded under the
+// same Params on this connection comes back as that payload, not a copy.
+func readPayload(r *reader, cache *decodeCache) (gossip.Payload, error) {
 	le := binary.LittleEndian
 	switch tag := r.byte(); tag {
 	case payNil:
@@ -428,14 +477,21 @@ func readPayload(r *reader, cache *paramsCache) (gossip.Payload, error) {
 		if !ok {
 			return nil, codecErr("intentions count overruns frame")
 		}
+		span := r.b[:n*intentWidth]
+		r.b = r.b[len(span):]
+		if in, ok := cache.intents[string(span)]; ok {
+			return in, nil
+		}
 		votes := make([]core.Intent, n)
-		e := r.b
+		e := span
 		for i := range votes {
 			votes[i] = core.Intent{H: le.Uint64(e), Z: int32(le.Uint32(e[8:intentWidth]))}
 			e = e[intentWidth:]
 		}
-		r.b = e
-		return core.Intentions{P: *p, Votes: votes}, nil
+		var in gossip.Payload = core.Intentions{P: *p, Votes: votes}
+		cache.reserve(span)
+		cache.intents[string(span)] = in
+		return in, nil
 	case payVote:
 		p, err := readParams(r, cache)
 		if err != nil {
@@ -461,10 +517,20 @@ func readPayload(r *reader, cache *paramsCache) (gossip.Payload, error) {
 		if err != nil {
 			return nil, err
 		}
+		start := r.b
 		k := r.u64()
 		n, ok := listCount(r, wentryWidth)
 		if !ok {
 			return nil, codecErr("certificate vote count overruns frame")
+		}
+		// The entries, Color and Owner are fixed-width, so the span from K
+		// through Owner is known here; one that overruns the frame is left
+		// to the decode below to reject.
+		if rest := n*wentryWidth + 8; rest <= len(r.b) {
+			if c, ok := cache.certs[string(start[:len(start)-len(r.b)+rest])]; ok {
+				r.b = r.b[rest:]
+				return c, nil
+			}
 		}
 		w := make([]core.WEntry, n)
 		e := r.b
@@ -477,6 +543,9 @@ func readPayload(r *reader, cache *paramsCache) (gossip.Payload, error) {
 		if r.bad {
 			return nil, codecErr("truncated certificate")
 		}
+		span := start[:len(start)-len(r.b)]
+		cache.reserve(span)
+		cache.certs[string(span)] = cert
 		return cert, nil
 	default:
 		return nil, codecErr("unknown payload tag %d", tag)
@@ -504,7 +573,7 @@ func appendMessageBody(b []byte, to int, m runtime.Message, epoch time.Time, mem
 
 // readMessageBody decodes one message body, consuming exactly its bytes (the
 // caller checks for trailing garbage once the frame is exhausted).
-func readMessageBody(r *reader, epoch time.Time, cache *paramsCache) (to int, m runtime.Message, err error) {
+func readMessageBody(r *reader, epoch time.Time, cache *decodeCache) (to int, m runtime.Message, err error) {
 	m.Kind = runtime.MsgKind(r.byte())
 	flags := r.byte()
 	m.Round = int(r.uvarint())
@@ -548,7 +617,7 @@ func appendBatchFrame(b []byte, seq uint64, count int, bodies []byte) ([]byte, e
 // starts the frame's Params scope in cache: a marker must follow a block of
 // the same frame. The count is sanity-bounded by the bytes present — each
 // body is at least two bytes — so garbage cannot promise a huge batch.
-func readBatchHeader(r *reader, cache *paramsCache) (seq uint64, count int, err error) {
+func readBatchHeader(r *reader, cache *decodeCache) (seq uint64, count int, err error) {
 	cache.inFrame = false
 	if v := r.byte(); v != batchVersion {
 		if r.bad {

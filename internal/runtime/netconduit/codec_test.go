@@ -9,6 +9,7 @@ import (
 	"reflect"
 	stdruntime "runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,17 +27,22 @@ func encodeOne(t testing.TB, seq uint64, to int, m runtime.Message, epoch time.T
 }
 
 // decodeBatch is the server's decode of a batch frame body (the bytes after
-// the frame-type byte): the header, count message bodies, and the
-// trailing-byte check.
+// the frame-type byte) as a new connection's first frame: the header, count
+// message bodies, and the trailing-byte check.
 func decodeBatch(body []byte, epoch time.Time) (seq uint64, tos []int, ms []runtime.Message, err error) {
+	return decodeBatchOn(&decodeCache{}, body, epoch)
+}
+
+// decodeBatchOn is decodeBatch on one connection's decoder state, which
+// carries over from the frames decoded on it before.
+func decodeBatchOn(cache *decodeCache, body []byte, epoch time.Time) (seq uint64, tos []int, ms []runtime.Message, err error) {
 	r := &reader{b: body}
-	var cache paramsCache
-	seq, count, err := readBatchHeader(r, &cache)
+	seq, count, err := readBatchHeader(r, cache)
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	for i := 0; i < count; i++ {
-		to, m, err := readMessageBody(r, epoch, &cache)
+		to, m, err := readMessageBody(r, epoch, cache)
 		if err != nil {
 			return 0, nil, nil, err
 		}
@@ -263,7 +269,7 @@ func TestCodecParamsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cache paramsCache
+	var cache decodeCache
 	first, err := readParams(&reader{b: b}, &cache)
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +386,7 @@ func TestCodecParamsMarkerScope(t *testing.T) {
 	p := testParams(t)
 	epoch := time.Now()
 	m := runtime.Message{Kind: runtime.MsgVote, Round: 3, From: 1, Payload: core.Vote{P: p, Value: 5}}
-	var cache paramsCache
+	var cache decodeCache
 	r := &reader{b: encodeOne(t, 1, 2, m, epoch)}
 	if _, _, err := readBatchHeader(r, &cache); err != nil {
 		t.Fatal(err)
@@ -650,8 +656,9 @@ func FuzzDecodeBatchAck(f *testing.F) {
 // destinations and messages. The invariant is on the decoded messages, not
 // the bytes: the encoder may write a Params marker where the input spelled
 // the block out. Seeds: the malformed-frame and overrun-count tables, one
-// valid frame carrying every payload shape, and one switching Params mid-
-// frame.
+// valid frame carrying every payload shape, one switching Params mid-frame,
+// and one repeating a certificate and an intention list — the decoder's
+// interned path — with a copy whose last Owner differs in one byte.
 func FuzzReadBatch(f *testing.F) {
 	for _, b := range malformedBatchBodies(f) {
 		f.Add(b)
@@ -672,6 +679,12 @@ func FuzzReadBatch(f *testing.F) {
 	f.Add(encodeBatch(f, 9, tos, ms, epoch))
 	slices.Reverse(ms)
 	f.Add(encodeBatch(f, 10, tos, ms, epoch))
+	cert, in, _ := internPayloads(f)
+	repeats := framed(f, cert, in, in, cert)
+	f.Add(repeats)
+	owner := slices.Clone(repeats)
+	owner[len(owner)-4]++ // the last certificate's Owner, little-endian
+	f.Add(owner)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > MaxFrame {
 			return // readFrame never hands the parser more
@@ -707,4 +720,249 @@ func sameMessage(a, b runtime.Message, epoch time.Time) bool {
 		a.SentAt.IsZero() == b.SentAt.IsZero() &&
 		(a.SentAt.IsZero() || a.SentAt.Sub(epoch) == b.SentAt.Sub(epoch)) &&
 		fmt.Sprintf("%#v", a.Payload) == fmt.Sprintf("%#v", b.Payload)
+}
+
+// mustDecodeOn decodes batch frame bodies in order on one connection's
+// decoder state, as the serve loop does, and returns every message's payload.
+func mustDecodeOn(t testing.TB, cache *decodeCache, bodies ...[]byte) []gossip.Payload {
+	t.Helper()
+	var out []gossip.Payload
+	for _, body := range bodies {
+		_, _, ms, err := decodeBatchOn(cache, body, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			out = append(out, m.Payload)
+		}
+	}
+	return out
+}
+
+// framed encodes payloads as one batch frame body, one message each.
+func framed(t testing.TB, payloads ...gossip.Payload) []byte {
+	t.Helper()
+	tos := make([]int, len(payloads))
+	ms := make([]runtime.Message, len(payloads))
+	for i, p := range payloads {
+		ms[i] = runtime.Message{Kind: runtime.MsgReply, Round: 5, From: i, Payload: p}
+	}
+	return encodeBatch(t, 1, tos, ms, time.Time{})
+}
+
+// shared reports whether two decoded list payloads are the same interned
+// value: the same certificate pointer, or intention lists on the same array.
+func shared(a, b gossip.Payload) bool {
+	switch a := a.(type) {
+	case *core.Certificate:
+		b, ok := b.(*core.Certificate)
+		return ok && a == b
+	case core.Intentions:
+		b, ok := b.(core.Intentions)
+		return ok && len(a.Votes) > 0 && len(b.Votes) > 0 && &a.Votes[0] == &b.Votes[0]
+	}
+	return false
+}
+
+// internPayloads is one certificate and one intention list, and copies that
+// each differ from them in exactly one field, sent as fresh values.
+func internPayloads(t testing.TB) (cert *core.Certificate, in core.Intentions, variants map[string]gossip.Payload) {
+	p := testParams(t)
+	cert = &core.Certificate{P: p, K: 77, W: []core.WEntry{{Voter: 3, Value: 9}, {Voter: 61, Value: 140608}}, Color: 1, Owner: 3}
+	in = core.Intentions{P: p, Votes: []core.Intent{{H: 1, Z: 0}, {H: 99, Z: 63}}}
+	certWith := func(edit func(c *core.Certificate)) gossip.Payload {
+		c := cert.Clone()
+		edit(c)
+		return c
+	}
+	intentsWith := func(edit func(v []core.Intent) []core.Intent) gossip.Payload {
+		return core.Intentions{P: p, Votes: edit(slices.Clone(in.Votes))}
+	}
+	variants = map[string]gossip.Payload{
+		"certificate K":       certWith(func(c *core.Certificate) { c.K++ }),
+		"certificate voter":   certWith(func(c *core.Certificate) { c.W[1].Voter = 62 }),
+		"certificate value":   certWith(func(c *core.Certificate) { c.W[0].Value = 10 }),
+		"certificate count":   certWith(func(c *core.Certificate) { c.W = c.W[:1] }),
+		"certificate color":   certWith(func(c *core.Certificate) { c.Color = 0 }),
+		"certificate owner":   certWith(func(c *core.Certificate) { c.Owner = 4 }),
+		"intentions H":        intentsWith(func(v []core.Intent) []core.Intent { v[1].H = 100; return v }),
+		"intentions Z":        intentsWith(func(v []core.Intent) []core.Intent { v[0].Z = 1; return v }),
+		"intentions count":    intentsWith(func(v []core.Intent) []core.Intent { return append(v, core.Intent{H: 5, Z: 6}) }),
+		"intentions shortest": intentsWith(func(v []core.Intent) []core.Intent { return v[:1] }),
+	}
+	return cert, in, variants
+}
+
+// TestInternSharesRepeats pins the tentpole of the decoder's tables: an
+// intention list or certificate whose bytes were decoded before on the
+// connection comes back as that same payload, within a frame and across
+// frames.
+func TestInternSharesRepeats(t *testing.T) {
+	cert, in, _ := internPayloads(t)
+	var cache decodeCache
+	got := mustDecodeOn(t, &cache,
+		framed(t, cert, in, cert.Clone(), core.Intentions{P: in.P, Votes: slices.Clone(in.Votes)}),
+		framed(t, in, cert))
+	for i, want := range []gossip.Payload{cert, in, cert, in, in, cert} {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("payload %d decoded to %#v, want %#v", i, got[i], want)
+		}
+	}
+	for _, pair := range [][2]int{{0, 2}, {1, 3}, {1, 4}, {0, 5}} {
+		if !shared(got[pair[0]], got[pair[1]]) {
+			t.Errorf("payloads %d and %d carry the same bytes but were decoded twice", pair[0], pair[1])
+		}
+	}
+	if len(cache.certs) != 1 || len(cache.intents) != 1 {
+		t.Fatalf("tables hold %d certificates and %d lists, want 1 and 1", len(cache.certs), len(cache.intents))
+	}
+}
+
+// TestInternDistinguishesFields pins that the tables key on every byte: a
+// payload differing from an interned one in a single field decodes to its
+// own, correct value.
+func TestInternDistinguishesFields(t *testing.T) {
+	cert, in, variants := internPayloads(t)
+	for name, v := range variants {
+		var cache decodeCache
+		got := mustDecodeOn(t, &cache, framed(t, cert, in), framed(t, v))
+		if !reflect.DeepEqual(got[2], v) {
+			t.Errorf("%s: decoded to %#v, want %#v", name, got[2], v)
+		}
+		if shared(got[0], got[2]) || shared(got[1], got[2]) {
+			t.Errorf("%s: shares the payload of different bytes", name)
+		}
+	}
+}
+
+// TestInternParamsSwitch pins that a change of Params empties the tables:
+// the same list bytes under other Params decode with the new P, and under the
+// first Params again with that P, never a payload kept from the other.
+func TestInternParamsSwitch(t *testing.T) {
+	cert, in, _ := internPayloads(t)
+	relaxed, err := cert.P.WithProtocol(core.Protocol{Variant: core.ProtocolRelaxed, MinVotes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert2 := cert.Clone()
+	cert2.P = relaxed
+	in2 := core.Intentions{P: relaxed, Votes: in.Votes}
+	var cache decodeCache
+	got := mustDecodeOn(t, &cache, framed(t, cert, in), framed(t, cert2, in2), framed(t, cert, in2, in))
+	for i, want := range []gossip.Payload{cert, in, cert2, in2, cert, in2, in} {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("payload %d decoded to %#v, want %#v", i, got[i], want)
+		}
+	}
+	if shared(got[0], got[2]) || shared(got[1], got[3]) || shared(got[2], got[4]) {
+		t.Fatal("a payload kept under one Params was returned under another")
+	}
+}
+
+// TestInternCap pins the memory bound: decoding more distinct certificate
+// bytes than internCap never leaves the tables holding more than internCap
+// key bytes — they start over instead — and held stays the exact sum of the
+// keys.
+func TestInternCap(t *testing.T) {
+	p := testParams(t)
+	const entries = 40000 // 480 KB of W a certificate, under MaxFrame
+	w := make([]core.WEntry, entries)
+	var cache decodeCache
+	restarts, prev := 0, 0
+	for k := 0; k < 2*internCap/(entries*wentryWidth)+2; k++ {
+		got := mustDecodeOn(t, &cache, framed(t, &core.Certificate{P: p, K: uint64(k), W: w}))
+		if c := got[0].(*core.Certificate); c.K != uint64(k) || len(c.W) != entries {
+			t.Fatalf("certificate %d decoded as K=%d with %d entries", k, c.K, len(c.W))
+		}
+		if cache.held > internCap {
+			t.Fatalf("after certificate %d the tables hold %d key bytes, past internCap %d", k, cache.held, internCap)
+		}
+		sum := 0
+		for key := range cache.certs {
+			sum += len(key)
+		}
+		if sum != cache.held {
+			t.Fatalf("held = %d, but the keys sum to %d", cache.held, sum)
+		}
+		if cache.held < prev {
+			restarts++
+		}
+		prev = cache.held
+	}
+	if restarts < 2 {
+		t.Fatalf("the tables started over %d times, want at least 2", restarts)
+	}
+}
+
+// TestInternMalformedAfterValid pins that only clean decodes are kept: a
+// certificate whose span overruns the frame, after a valid one with the same
+// leading bytes, is a codec error and leaves the tables as they were.
+func TestInternMalformedAfterValid(t *testing.T) {
+	cert, _, _ := internPayloads(t)
+	var cache decodeCache
+	first := mustDecodeOn(t, &cache, framed(t, cert))[0]
+	valid := framed(t, cert)
+	// The certificate ends the body: drop Owner's last byte, or claim one
+	// more W entry than the frame holds.
+	truncated := valid[:len(valid)-1]
+	count := len(valid) - 8 - 2*wentryWidth - 1
+	if valid[count] != 2 {
+		t.Fatalf("W count byte is %d, want 2", valid[count])
+	}
+	overrun := slices.Clone(valid)
+	overrun[count] = 3
+	for name, body := range map[string][]byte{"truncated": truncated, "overrun": overrun} {
+		if _, _, _, err := decodeBatchOn(&cache, body, time.Time{}); !errors.Is(err, errCodec) {
+			t.Fatalf("%s: err = %v, want a codec error", name, err)
+		}
+		if len(cache.certs) != 1 || cache.held != len(valid)-count+8 {
+			t.Fatalf("%s: tables changed: %d certificates, %d key bytes", name, len(cache.certs), cache.held)
+		}
+	}
+	if again := mustDecodeOn(t, &cache, valid)[0]; again != first {
+		t.Fatal("the valid certificate is no longer interned")
+	}
+}
+
+// TestInternPerConnection pins one table pair per connection: two serve
+// loops decoding the same bytes at the same time each keep their own
+// payloads, shared across their own frames only. Under the race detector it
+// also witnesses that the tables need no lock.
+func TestInternPerConnection(t *testing.T) {
+	cert, in, _ := internPayloads(t)
+	body := framed(t, cert, in)
+	const conns, frames = 2, 50
+	got := make([][]gossip.Payload, conns)
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var cache decodeCache
+			for f := 0; f < frames; f++ {
+				_, _, ms, err := decodeBatchOn(&cache, body, time.Time{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, m := range ms {
+					got[c] = append(got[c], m.Payload)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for c := range got {
+		for i := 2; i < len(got[c]); i++ {
+			if !shared(got[c][i], got[c][i%2]) {
+				t.Fatalf("connection %d: payload %d was decoded again", c, i)
+			}
+		}
+	}
+	if shared(got[0][0], got[1][0]) || shared(got[0][1], got[1][1]) {
+		t.Fatal("two connections share a table")
+	}
 }

@@ -307,7 +307,7 @@ func (c *SocketConduit) serve(conn net.Conn) {
 	defer c.wg.Done()
 	defer c.dropConn(conn)
 	var buf, out, bits []byte
-	var cache paramsCache // Params decoder state, this connection's frames only
+	var cache decodeCache // decoder state: Params and interned lists, this connection's only
 	batch := runtime.ChannelConduit{}.NewBatch()
 	var added []int32 // the frame positions of the Added messages, in Add order
 	for {

@@ -466,7 +466,7 @@ func batchAckingListener(t *testing.T, ackFrames int) net.Listener {
 						return // kill the conn with this frame unacked
 					}
 					r := &reader{b: body[1:]}
-					seq, count, err := readBatchHeader(r, &paramsCache{})
+					seq, count, err := readBatchHeader(r, &decodeCache{})
 					if err != nil {
 						return
 					}

@@ -178,6 +178,6 @@ func RunE16Transports(o TransportOptions) []*Table {
 	}
 	e16.AddNote("all three transports execute the identical protocol off identical seeds and are checked to produce the identical Result — the transport moves the bytes, never the outcome — so wall ms and the latency quantiles isolate transport cost alone")
 	e16.AddNote("unix and tcp deliveries cross a real OS socket as length-prefixed binary frames, dispatched in pipelined round waves: all same-peer messages of a flush coalesce into one multi-message batch frame answered by one bitmap ack, so a round costs a handful of writes instead of a synchronous write→ack round trip per message")
-	e16.AddNote("pipelining closed most of the socket gap: at n=1024 the pre-batching ladder read channel 558 ms, unix 2699 ms (4.8×), tcp 3893 ms (7.0×); batched it reads unix ≈5.5× and tcp ≈5.5× of the channel wall (vs channel, medians of 10) — ratios that rose from ≈1.3× as the channel rung itself got faster twice (the lock-free round barrier, 345 → 126 ms; hosted node ranges, 120 → 35 ms) while the sockets' own walls fell less each time (unix 458 → 312 → 193 ms, tcp 463 → 299 → 196 ms): with the coordinator and the mailboxes cheap, the socket is the visible cost again. Wire v3 — fixed-width payload fields, Params once per frame, ID-indexed routing — then cut the codec's share: on a 2-CPU Xeon @ 2.60GHz, n=1024 went from unix 7.6× / tcp 8.1× to unix 4.6× / tcp 4.7× of the channel wall. The lat columns price wave turnaround (send stamped at wave dispatch, handled when the coalesced frame lands), not a lone message's hop")
+	e16.AddNote("pipelining closed most of the socket gap: at n=1024 the pre-batching ladder read channel 558 ms, unix 2699 ms (4.8×), tcp 3893 ms (7.0×); batched it reads unix ≈5.5× and tcp ≈5.5× of the channel wall (vs channel, medians of 10) — ratios that rose from ≈1.3× as the channel rung itself got faster twice (the lock-free round barrier, 345 → 126 ms; hosted node ranges, 120 → 35 ms) while the sockets' own walls fell less each time (unix 458 → 312 → 193 ms, tcp 463 → 299 → 196 ms): with the coordinator and the mailboxes cheap, the socket is the visible cost again. Wire v3 — fixed-width payload fields, Params once per frame, ID-indexed routing — then cut the codec's share: on a 2-CPU Xeon @ 2.60GHz, n=1024 went from unix 7.6× / tcp 8.1× to unix 4.6× / tcp 4.7× of the channel wall. Decoding each distinct certificate and intention list once per connection — a repeat returns the payload decoded the first time — then took n=1024 from unix 174 / 165 ms and tcp 170 / 145 ms (3.8–4.9× of the channel wall, two full runs) to unix 113 / 111 ms and tcp 121 / 106 ms (2.8–3.0×), lat p50 from ≈560 to ≈345 µs on unix, on the same host. The lat columns price wave turnaround (send stamped at wave dispatch, handled when the coalesced frame lands), not a lone message's hop")
 	return []*Table{e16}
 }
