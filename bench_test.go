@@ -379,42 +379,47 @@ func benchDynamicBatch(b *testing.B, workers int) {
 // BenchmarkEdgeMarkovianAdvance isolates the graph process itself: one op is
 // one Advance of an edge-Markovian chain at fixed stationary degree 64 (the
 // sparse regime the engine targets; π = 64/(n−1) falls as n grows), across
-// an (n × death-rate) grid, plus a rewire-ring row for the other process.
-// The reported flips/op metric is the number of edges that actually changed,
-// so the table makes the Θ(flips)-vs-Θ(n²) claim checkable in every bench
-// run: at fixed degree, flips/op grows only linearly in n (≈ 2·death·32n)
-// and ns/op must track it — the dense engine this replaced paid Θ(n²) per
-// op at every churn rate (e.g. ~134M pair draws per op at n = 16384).
+// an (n × death-rate) grid, plus the process the serve-dynamic-lossy
+// workload runs (n = 256, degree 32, death 0.1) and a rewire-ring row for the
+// other process. The reported flips/op metric is the number of edges that
+// actually changed, so the table makes the Θ(flips)-vs-Θ(n²) claim checkable
+// in every bench run: at fixed degree, flips/op grows only linearly in n
+// (≈ 2·death·32n) and ns/op must track it — the dense engine this replaced
+// paid Θ(n²) per op at every churn rate (e.g. ~134M pair draws per op at
+// n = 16384). ns/flip is the cost of one event.
 func BenchmarkEdgeMarkovianAdvance(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096, 16384} {
 		for _, death := range []float64{0.001, 0.01, 0.1} {
 			b.Run(fmt.Sprintf("n=%d/death=%g", n, death), func(b *testing.B) {
 				pi := 64.0 / float64(n-1)
-				g := topo.NewEdgeMarkovian(n, death*pi/(1-pi), death)
-				g.Start(1)
-				b.ReportAllocs()
-				b.ResetTimer()
-				flips := 0
-				for i := 0; i < b.N; i++ {
-					g.Advance(i + 1)
-					flips += g.Flips()
-				}
-				b.ReportMetric(float64(flips)/float64(b.N), "flips/op")
+				benchAdvance(b, topo.NewEdgeMarkovian(n, death*pi/(1-pi), death))
 			})
 		}
 	}
-	b.Run("rewire-ring/n=4096", func(b *testing.B) {
-		g := topo.NewRewireRing(4096, 0.2)
-		g.Start(1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		flips := 0
-		for i := 0; i < b.N; i++ {
-			g.Advance(i + 1)
-			flips += g.Flips()
-		}
-		b.ReportMetric(float64(flips)/float64(b.N), "flips/op")
+	b.Run("n=256/deg=32/death=0.1", func(b *testing.B) {
+		pi := 32.0 / 255
+		benchAdvance(b, topo.NewEdgeMarkovian(256, 0.1*pi/(1-pi), 0.1))
 	})
+	b.Run("rewire-ring/n=4096", func(b *testing.B) {
+		benchAdvance(b, topo.NewRewireRing(4096, 0.2))
+	})
+}
+
+// benchAdvance starts g and times one Advance per op, reporting the edges
+// changed per op and the time per changed edge.
+func benchAdvance(b *testing.B, g topo.Dynamic) {
+	g.Start(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	flips := 0
+	for i := 0; i < b.N; i++ {
+		g.Advance(i + 1)
+		flips += g.Flips()
+	}
+	b.ReportMetric(float64(flips)/float64(b.N), "flips/op")
+	if flips > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(flips), "ns/flip")
+	}
 }
 
 // BenchmarkSparseGeneratorAdvance isolates the implicit sparse generators:

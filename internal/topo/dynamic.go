@@ -24,21 +24,22 @@ import (
 // contract the property tests pin.
 //
 // Cost model: the edge-Markovian process pays for events, not pairs. Advance
-// draws the pairs that actually flip by geometric skip-sampling (inverse-CDF
-// waiting times, distributionally identical to one Bernoulli coin per pair —
-// see rng.SkipPast) and maintains the adjacency incrementally (present-edge
-// list plus per-node neighbor lists, swap-remove on death, append on birth),
-// so a round costs O(expected flips + touched degrees) instead of the Θ(n²)
-// per-pair scan and full CSR rebuild it replaces. Memory is O(present edges),
-// not O(pairs): membership behind O(1) CanSend is a pairSet (open-addressing
-// hash set over packed pair ids, ~16 bytes per present edge at maximum load)
-// rather than the n²/8-byte presence bitset it replaces — at n = 2²⁰ the
-// bitset would be 64 GB while a degree-64 process carries ~2³⁵ times less
-// state than it has pairs. Per-node neighbor-list capacity is seeded from the
-// stationary mean degree out of one shared backing slab, so a million-node
-// process costs a handful of allocations, not one per node. Steady state
-// allocates nothing per round; the allocation-budget tests enforce that the
-// process cannot silently allocate per flip.
+// draws the pairs that actually flip by geometric skip-sampling (waiting
+// times distributionally identical to one Bernoulli coin per pair — see
+// rng.SkipPast) and maintains the adjacency incrementally (an edge table
+// whose records know their slots in both endpoints' neighbor lists,
+// swap-remove on death, append on birth), so a round costs O(expected
+// flips), each flip O(1), instead of the Θ(n²) per-pair scan and full CSR
+// rebuild it replaces. Memory is O(present edges), not O(pairs): membership
+// behind O(1) CanSend is a pairSet (open-addressing hash set over packed
+// pair ids, ~16 bytes per present edge at maximum load) rather than the
+// n²/8-byte presence bitset it replaces — at n = 2²⁰ the bitset would be
+// 64 GB while a degree-64 process carries ~2³⁵ times less state than it has
+// pairs. Per-node neighbor-list capacity is seeded from the stationary mean
+// degree out of one shared backing slab, so a million-node process costs a
+// handful of allocations, not one per node. Steady state allocates nothing
+// per round; the allocation-budget tests enforce that the process cannot
+// silently allocate per flip.
 //
 // Seed mapping: the skip-sampling engine consumes randomness per event where
 // the per-pair scan it replaced consumed one draw per pair, so a given seed
@@ -77,11 +78,12 @@ const MaxDynamicN = 1 << 20
 // MaxDynamicEdges bounds the expected number of simultaneously present edges
 // a scenario may ask a dynamic process to maintain — π·n(n−1)/2 with
 // π = birth/(birth+death) for the edge-Markovian chain, n·d/2 for the
-// degree-parameterized generators. A present edge costs ~30 bytes across the
-// membership set (≤16 at maximum load), the packed edge list, and two
-// neighbor-list entries, so the cap keeps a worst-case process around 2 GB —
-// large enough for degree ≈ 128 at n = 2²⁰. The bound lives in scenario
-// validation, not the constructors: direct topo users may exceed it knowingly.
+// degree-parameterized generators. A present edge costs ~40 bytes across the
+// membership set (≤16 at maximum load), its 16-byte edge-table record, and
+// two 4-byte neighbor-list entries, so the cap keeps a worst-case process
+// around 2.7 GB — large enough for degree ≈ 128 at n = 2²⁰. The bound lives
+// in scenario validation, not the constructors: direct topo users may exceed
+// it knowingly.
 const MaxDynamicEdges = 1 << 26
 
 // csr is the per-round adjacency of the rewiring-ring process:
@@ -152,15 +154,15 @@ func (c *csr) samplePeer(u int, r *rng.Source) int {
 //
 // The implementation is sparse: instead of flipping one coin per potential
 // pair, Advance draws exactly the flipping pairs by geometric skip-sampling
-// over the present-edge list (deaths) and over the full pair population with
+// over the present-edge table (deaths) and over the full pair population with
 // present pairs discarded (births) — each absent pair is still born
 // independently with probability birth, so the per-round edge-set
 // distribution is identical to the dense per-pair scan's. The adjacency is
-// maintained incrementally: a death swap-removes the edge from the packed
-// edge list and both endpoints' neighbor lists, a birth appends. A round
-// therefore costs O(birth·pairs + death·edges) expected draws plus the
-// touched degrees — Θ(expected flips) whenever the stationary density is
-// bounded away from 1 — rather than Θ(n²).
+// maintained incrementally: a death swap-removes the edge from the edge
+// table and, at the slots its record stores, from both endpoints' neighbor
+// lists; a birth appends. A round therefore costs O(birth·pairs +
+// death·edges) expected draws at O(1) each — Θ(expected flips) whenever the
+// stationary density is bounded away from 1 — rather than Θ(n²).
 //
 // Construct with NewEdgeMarkovian, then Start; see Dynamic for the lifecycle
 // and concurrency contract.
@@ -171,8 +173,8 @@ type EdgeMarkovian struct {
 	name    string
 	r       rng.Source
 	present pairSet   // membership over packed pair ids, O(present edges)
-	edges   []uint64  // present-edge list, packed u<<32|v, unordered
-	adj     [][]int32 // adj[u] is u's neighbor list, unordered
+	edges   []edge    // present-edge table, unordered
+	adj     [][]int32 // adj[u] holds the edge-table indices of u's edges, unordered
 	deadPos []int32   // scratch: edge-list positions dying this round
 	born    []uint64  // scratch: packed pairs born this round
 	flips   int
@@ -182,6 +184,18 @@ type EdgeMarkovian struct {
 	// π = birth/(birth+death) for Start, birth and death for Advance.
 	piGeo, birthGeo, deathGeo rng.Geo
 }
+
+// edge is one record of the present-edge table: the packed pair u<<32|v and
+// the edge's position in each endpoint's neighbor list, su in adj[u] and sv
+// in adj[v]. A neighbor-list entry is the edge's index in the table, so each
+// side points at the other and a death unlinks both lists in O(1).
+type edge struct {
+	pk     uint64
+	su, sv int32
+}
+
+// other returns the endpoint of the edge that is not u.
+func (ed edge) other(u int32) int32 { return int32(ed.pk>>32) ^ int32(uint32(ed.pk)) ^ u }
 
 var _ Dynamic = (*EdgeMarkovian)(nil)
 
@@ -297,7 +311,7 @@ func (c *pairCursor) at(i int) (u, v int32) {
 	return int32(c.row), int32(c.row + 1 + i - c.base)
 }
 
-// pack encodes an edge's endpoints for the present-edge list.
+// pack encodes an edge's endpoints for the membership set and edge table.
 func pack(u, v int32) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 
 // unpack decodes pack.
@@ -309,15 +323,18 @@ func (e *EdgeMarkovian) Start(seed uint64) {
 	e.r.Reseed(seed)
 	e.present.Clear()
 	pi := e.birth / (e.birth + e.death)
-	// Pre-size the membership table for the stationary edge count so the
-	// round-0 fill does not rehash its way up through doublings. The hint is
-	// clamped: a caller knowingly past MaxDynamicEdges grows incrementally
-	// rather than asking for one oversized table up front.
-	if want := int(pi * float64(e.pairs())); want > 0 {
-		if want > MaxDynamicEdges {
-			want = MaxDynamicEdges
-		}
+	// Pre-size the membership set and the edge table for the stationary edge
+	// count, so the round-0 fill neither rehashes nor re-appends its way up
+	// through doublings (serve builds a fresh process per request). The edge
+	// table also gets headroom for the count's fluctuation around its mean.
+	// The hints are clamped: a caller knowingly past MaxDynamicEdges grows
+	// incrementally rather than asking for oversized tables up front.
+	mean := pi * float64(e.pairs())
+	if want := int(math.Min(mean, MaxDynamicEdges)); want > 0 {
 		e.present.Reserve(want)
+	}
+	if want := int(math.Min(mean+5*math.Sqrt(mean)+16, MaxDynamicEdges)); cap(e.edges) < want {
+		e.edges = make([]edge, 0, want)
 	}
 	if e.adj == nil {
 		e.adj = make([][]int32, e.n)
@@ -326,8 +343,8 @@ func (e *EdgeMarkovian) Start(seed uint64) {
 		// allocation budgets pin warmed Starts and Advances near zero. The
 		// lists are carved from one shared slab: at n = 2²⁰ a per-node make
 		// would be a million allocations before the first round.
-		mean := pi * float64(e.n-1)
-		cap0 := int(mean+5*math.Sqrt(mean+1)) + 8
+		deg := pi * float64(e.n-1)
+		cap0 := int(deg+5*math.Sqrt(deg+1)) + 8
 		if cap0 > e.n-1 {
 			cap0 = e.n - 1
 		}
@@ -343,7 +360,9 @@ func (e *EdgeMarkovian) Start(seed uint64) {
 	e.edges = e.edges[:0]
 	c := e.cursor()
 	for i, p := e.piGeo.SkipPast(&e.r, 0), uint64(e.pairs()); i < p; i = e.piGeo.SkipPast(&e.r, i+1) {
-		e.insert(c.at(int(i)))
+		u, v := c.at(int(i))
+		e.present.Add(pack(u, v))
+		e.link(u, v)
 	}
 	e.flips = 0
 	e.started = true
@@ -360,17 +379,20 @@ func (e *EdgeMarkovian) Advance(round int) {
 	// Births: skip-scan the full pair population with probability birth.
 	// A coin landing on a present pair is discarded (present pairs are not
 	// birth-eligible), which leaves every absent pair born independently
-	// with probability birth. Presence is tested against the start-of-round
-	// state — deaths are applied only after this scan — so a pair dying this
-	// round cannot also be reborn in the same round.
+	// with probability birth. The scan adds each newborn to the membership
+	// set as it finds it, one probe per coin, and that answers every later
+	// coin exactly as the start-of-round set would: the scan visits distinct
+	// pairs in ascending order, so no coin lands on a pair born earlier in
+	// the same scan, and the deaths below remove only start-of-round edges —
+	// so a pair dying this round cannot also be reborn in the same round.
 	e.born = e.born[:0]
 	c := e.cursor()
 	for i, p := e.birthGeo.SkipPast(&e.r, 0), uint64(e.pairs()); i < p; i = e.birthGeo.SkipPast(&e.r, i+1) {
-		if pk := pack(c.at(int(i))); !e.present.Has(pk) {
+		if pk := pack(c.at(int(i))); e.present.Add(pk) {
 			e.born = append(e.born, pk)
 		}
 	}
-	// Deaths: skip-scan the start-of-round present-edge list with
+	// Deaths: skip-scan the start-of-round edge table with
 	// probability death. Positions come out ascending and are applied in
 	// descending order, so a swap-remove only ever moves in an edge from
 	// beyond every still-condemned position.
@@ -382,45 +404,55 @@ func (e *EdgeMarkovian) Advance(round int) {
 		e.removeAt(int(e.deadPos[k]))
 	}
 	for _, pk := range e.born {
-		e.insert(unpack(pk))
+		e.link(unpack(pk))
 	}
 	e.flips = len(e.deadPos) + len(e.born)
 }
 
-// insert adds the absent edge (u, v) to the membership set, both neighbor
-// lists, and the present-edge list.
-func (e *EdgeMarkovian) insert(u, v int32) {
-	e.present.Add(pack(u, v))
-	e.adj[u] = append(e.adj[u], v)
-	e.adj[v] = append(e.adj[v], u)
-	e.edges = append(e.edges, pack(u, v))
+// link appends the edge (u, v), already in the membership set, to the edge
+// table and to both neighbor lists.
+func (e *EdgeMarkovian) link(u, v int32) {
+	k := int32(len(e.edges))
+	e.edges = append(e.edges, edge{pk: pack(u, v), su: int32(len(e.adj[u])), sv: int32(len(e.adj[v]))})
+	e.adj[u] = append(e.adj[u], k)
+	e.adj[v] = append(e.adj[v], k)
 }
 
-// removeAt deletes the present edge at position pos of the edge list from
-// the membership set, both neighbor lists, and the list itself (swap-remove).
+// removeAt deletes the present edge at position pos of the edge table from
+// the membership set, both neighbor lists, and the table itself, each by
+// swap-remove, and re-points the slots of the entries that moved.
 func (e *EdgeMarkovian) removeAt(pos int) {
-	u, v := unpack(e.edges[pos])
-	e.present.Remove(pack(u, v))
-	e.dropNeighbor(u, v)
-	e.dropNeighbor(v, u)
+	ed := e.edges[pos]
+	u, v := unpack(ed.pk)
+	e.present.Remove(ed.pk)
+	e.dropSlot(u, ed.su)
+	e.dropSlot(v, ed.sv)
 	last := len(e.edges) - 1
-	e.edges[pos] = e.edges[last]
+	if pos != last {
+		moved := e.edges[last]
+		e.edges[pos] = moved
+		mu, mv := unpack(moved.pk)
+		e.adj[mu][moved.su] = int32(pos)
+		e.adj[mv][moved.sv] = int32(pos)
+	}
 	e.edges = e.edges[:last]
 }
 
-// dropNeighbor swap-removes v from u's neighbor list — the O(degree) scan is
-// the "touched degrees" term of the per-round cost.
-func (e *EdgeMarkovian) dropNeighbor(u, v int32) {
+// dropSlot swap-removes entry s of u's neighbor list and re-points the
+// record of the entry moved into its place.
+func (e *EdgeMarkovian) dropSlot(u, s int32) {
 	ns := e.adj[u]
-	for k, w := range ns {
-		if w == v {
-			last := len(ns) - 1
-			ns[k] = ns[last]
-			e.adj[u] = ns[:last]
-			return
+	last := int32(len(ns) - 1)
+	if s != last {
+		k := ns[last]
+		ns[s] = k
+		if moved := &e.edges[k]; int32(moved.pk>>32) == u {
+			moved.su = s
+		} else {
+			moved.sv = s
 		}
 	}
-	panic("topo: EdgeMarkovian adjacency desynchronized from edge list")
+	e.adj[u] = ns[:last]
 }
 
 // N returns the node count.
@@ -448,7 +480,7 @@ func (e *EdgeMarkovian) SamplePeer(u int, r *rng.Source) int {
 	if len(ns) == 0 {
 		return u
 	}
-	return int(ns[r.Intn(len(ns))])
+	return int(e.edges[ns[r.Intn(len(ns))]].other(int32(u)))
 }
 
 // Degree returns u's current degree.

@@ -278,9 +278,11 @@ func TestEdgeMarkovianFlipExpectation(t *testing.T) {
 
 // TestEdgeMarkovianIncrementalMatchesRebuild is the structural property test
 // behind the incremental adjacency: after any Start/Advance history, the
-// neighbor lists, present-edge list, and membership set must describe
-// exactly the same graph a from-scratch rebuild would — same edges, no
-// duplicates, positions consistent.
+// neighbor lists, edge table, and membership set must describe exactly the
+// same graph a from-scratch rebuild would — same edges, no duplicates — and
+// the table and the lists must point at each other in both directions: each
+// record's two slots hold list entries naming that record, and each list
+// entry names a record that contains the list's owner.
 func TestEdgeMarkovianIncrementalMatchesRebuild(t *testing.T) {
 	check := func(g *EdgeMarkovian) bool {
 		n := g.n
@@ -299,23 +301,41 @@ func TestEdgeMarkovianIncrementalMatchesRebuild(t *testing.T) {
 		if edgeCount != len(g.edges) || g.present.Len() != len(g.edges) {
 			return false
 		}
-		// The present-edge list must hold each present pair exactly once,
-		// canonically packed.
+		// The edge table must hold each present pair exactly once,
+		// canonically packed, and each record's slots must point at list
+		// entries that name the record.
 		seen := make(map[uint64]bool, len(g.edges))
-		for _, pk := range g.edges {
-			u, v := unpack(pk)
-			if u < 0 || v < 0 || int(u) >= n || int(v) >= n || u >= v || seen[pk] {
+		for k, ed := range g.edges {
+			u, v := unpack(ed.pk)
+			if u < 0 || v < 0 || int(u) >= n || int(v) >= n || u >= v || seen[ed.pk] {
 				return false
 			}
-			if !g.present.Has(pk) {
+			if !g.present.Has(ed.pk) {
 				return false
 			}
-			seen[pk] = true
+			seen[ed.pk] = true
+			if ed.su < 0 || int(ed.su) >= len(g.adj[u]) || g.adj[u][ed.su] != int32(k) {
+				return false
+			}
+			if ed.sv < 0 || int(ed.sv) >= len(g.adj[v]) || g.adj[v][ed.sv] != int32(k) {
+				return false
+			}
 		}
-		// Neighbor lists equal the rebuild as sets (the incremental lists are
-		// unordered by design).
+		// Each list entry must name a record containing the list's owner,
+		// and the neighbors it yields must equal the rebuild as sets (the
+		// incremental lists are unordered by design).
 		for u := 0; u < n; u++ {
-			got := slices.Clone(g.adj[u])
+			got := make([]int32, 0, len(g.adj[u]))
+			for _, k := range g.adj[u] {
+				if k < 0 || int(k) >= len(g.edges) {
+					return false
+				}
+				a, b := unpack(g.edges[k].pk)
+				if a != int32(u) && b != int32(u) {
+					return false
+				}
+				got = append(got, g.edges[k].other(int32(u)))
+			}
 			slices.Sort(got)
 			if !slices.Equal(got, wantAdj[u]) {
 				return false

@@ -30,9 +30,9 @@ func edgeMarkovianAtDegree(n int, deg float64, death float64) *EdgeMarkovian {
 // runtime.MemStats: an n = 10⁵ process at degree 64 must retain a few
 // multiples of edge-count × entry-size, where an entry spans the membership
 // table (≤ 16 bytes per edge at maximum load, doubled table worst case),
-// the packed edge list, and two int32 neighbor-list slots plus slab headroom.
-// The dense presence bitset this replaced would alone retain n²/8 = 1.25 GB
-// and fail the budget by an order of magnitude.
+// the 16-byte edge-table record, and two int32 neighbor-list slots plus slab
+// headroom. The dense presence bitset this replaced would alone retain
+// n²/8 = 1.25 GB and fail the budget by an order of magnitude.
 func TestEdgeMarkovianHeapFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-n footprint check skipped in -short mode")
@@ -43,9 +43,10 @@ func TestEdgeMarkovianHeapFootprint(t *testing.T) {
 	)
 	edges := deg * n / 2
 	// Worst-case bytes per present edge: 2×8 for a just-doubled hash table,
-	// 2×8 for a just-doubled edge list, 2×4 adjacency entries — plus the
-	// adjacency slab's variance headroom (cap0/mean ≈ 1.75). Budget three
-	// multiples of a 48-byte entry to stay assertive but unflaky.
+	// 16 for the edge table (Start reserves it for the stationary count, so
+	// it does not double), 2×4 adjacency entries — plus the adjacency slab's
+	// variance headroom (cap0/mean ≈ 1.75). Budget three multiples of a
+	// 48-byte entry to stay assertive but unflaky.
 	budget := int64(3 * 48 * edges)
 	before := heapAlloc()
 	g := edgeMarkovianAtDegree(n, deg, 0.002)

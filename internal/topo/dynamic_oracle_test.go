@@ -173,7 +173,7 @@ func TestEdgeMarkovianMatchesBitsetOracle(t *testing.T) {
 						tc.n, tc.birth, tc.death, run, round, len(g.edges), len(ref.edges))
 				}
 				for i := range g.edges {
-					if g.edges[i] != ref.edges[i] {
+					if g.edges[i].pk != ref.edges[i] {
 						t.Fatalf("n=%d b=%g d=%g run %d round %d: edge list diverges at %d",
 							tc.n, tc.birth, tc.death, run, round, i)
 					}

@@ -60,8 +60,9 @@ func (s *pairSet) Has(k uint64) bool {
 	}
 }
 
-// Add inserts key k (a no-op if present). k must be nonzero.
-func (s *pairSet) Add(k uint64) {
+// Add inserts key k and reports whether it was absent (a present key is left
+// as is), so a caller that must know both pays one probe. k must be nonzero.
+func (s *pairSet) Add(k uint64) bool {
 	if 4*(s.n+1) > 3*len(s.slots) {
 		s.grow()
 	}
@@ -69,12 +70,13 @@ func (s *pairSet) Add(k uint64) {
 	i := hashPair(k) & mask
 	for s.slots[i] != 0 {
 		if s.slots[i] == k {
-			return
+			return false
 		}
 		i = (i + 1) & mask
 	}
 	s.slots[i] = k
 	s.n++
+	return true
 }
 
 // Remove deletes key k (a no-op if absent), compacting the probe run behind

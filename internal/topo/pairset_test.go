@@ -9,7 +9,8 @@ import (
 // TestPairSetDifferential drives the hash set through a long random
 // Add/Remove/Has trace against a plain map, over a small key space so probe
 // runs collide and deletions routinely punch holes inside runs — the regime
-// backward-shift deletion must survive.
+// backward-shift deletion must survive. Add's report of whether the key was
+// new is checked against the map too.
 func TestPairSetDifferential(t *testing.T) {
 	r := rng.New(99)
 	var s pairSet
@@ -19,7 +20,9 @@ func TestPairSetDifferential(t *testing.T) {
 		k := uint64(r.Intn(keySpace)) + 1 // keys must be nonzero
 		switch r.Intn(3) {
 		case 0:
-			s.Add(k)
+			if got, want := s.Add(k), !ref[k]; got != want {
+				t.Fatalf("step %d: Add(%d) = %v, want %v", step, k, got, want)
+			}
 			ref[k] = true
 		case 1:
 			s.Remove(k)

@@ -119,10 +119,9 @@ func (dr *DRegular) rematch() {
 			u, v = v, u
 		}
 		pk := pack(u, v)
-		if cur.Has(pk) {
+		if !cur.Add(pk) {
 			continue
 		}
-		cur.Add(pk)
 		dr.adj[u] = append(dr.adj[u], v)
 		dr.adj[v] = append(dr.adj[v], u)
 		if old.Has(pk) {
