@@ -405,15 +405,20 @@ func BenchmarkEdgeMarkovianAdvance(b *testing.B) {
 	})
 }
 
-// benchAdvance starts g and times one Advance per op, reporting the edges
-// changed per op and the time per changed edge.
+// benchAdvance starts g, warms its scratch buffers to their steady-state
+// size, and times one Advance per op, reporting the edges changed per op and
+// the time per changed edge.
 func benchAdvance(b *testing.B, g topo.Dynamic) {
 	g.Start(1)
+	const warm = 20
+	for r := 1; r <= warm; r++ {
+		g.Advance(r)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	flips := 0
 	for i := 0; i < b.N; i++ {
-		g.Advance(i + 1)
+		g.Advance(warm + i + 1)
 		flips += g.Flips()
 	}
 	b.ReportMetric(float64(flips)/float64(b.N), "flips/op")

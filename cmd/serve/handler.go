@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"time"
 
 	"repro/fairgossip"
@@ -113,6 +114,16 @@ func (o options) handleRuns(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err.Error())
 		return
 	}
+	// Each worker holds its own pool of n agents, so an unchecked worker
+	// count would let one request make the server build as many pools as a
+	// stream chunk has trials. Results do not depend on it; clamp it to the
+	// cores there are, before the runner is built, so the echoed scenario
+	// shows what actually ran.
+	if sc.Workers < 0 {
+		writeError(w, http.StatusBadRequest, "workers must be >= 0 (0 = one per core)")
+		return
+	}
+	sc.Workers = min(sc.Workers, runtime.GOMAXPROCS(0))
 	switch {
 	case req.Trials < 1:
 		writeError(w, http.StatusBadRequest, "trials must be >= 1")

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -197,6 +198,28 @@ func TestRunSeedOverride(t *testing.T) {
 	}
 }
 
+// TestRunClampsWorkers pins the worker bound: a request asking for far more
+// workers than the server has cores runs, on at most GOMAXPROCS of them,
+// and the echoed canonical scenario says so.
+func TestRunClampsWorkers(t *testing.T) {
+	srv := testServer(t)
+	resp, body := postRun(t, srv, `{"name":"baseline","trials":4,"workers":1000000}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var rr runResponse
+	if err := json.Unmarshal(body, &rr); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fairgossip.Decode(rr.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max := runtime.GOMAXPROCS(0); got.Workers < 1 || got.Workers > max {
+		t.Fatalf("ran with workers = %d, want 1..GOMAXPROCS = %d", got.Workers, max)
+	}
+}
+
 func stripElapsed(t *testing.T, body []byte) map[string]any {
 	t.Helper()
 	var m map[string]any
@@ -226,6 +249,8 @@ func TestRunErrors(t *testing.T) {
 		{"unknown request field", `{"name":"baseline","trials":3,"bogus":1}`, http.StatusBadRequest, "bogus"},
 		{"trailing document", `{"name":"baseline","trials":3}{"name":"baseline","trials":3}`, http.StatusBadRequest, "trailing data"},
 		{"trailing garbage", `{"name":"baseline","trials":3} xyz`, http.StatusBadRequest, "trailing data"},
+		{"negative workers override", `{"name":"baseline","trials":3,"workers":-1}`, http.StatusBadRequest, "workers"},
+		{"negative inline workers", `{"scenario":{"version":1,"n":64,"seed":1,"workers":-1},"trials":3}`, http.StatusBadRequest, "workers"},
 	}
 	for _, tc := range cases {
 		resp, body := postRun(t, srv, tc.body)

@@ -157,17 +157,18 @@ func TestGeometricEdgeCases(t *testing.T) {
 	}
 }
 
-// TestGeoMatchesUnpreparedDraw pins that preparing ln(1−p) once changes no
-// draw: a prepared law must return, bit for bit, the quotient the per-draw
-// formula ⌊ln(U)/ln(1−p)⌋ gives on the same stream, and leave the stream in
-// the same state — so every seed maps to the same skip-scan as before.
+// TestGeoMatchesUnpreparedDraw pins the identity a prepared law draws by: on
+// the same stream, Geo.Draw must return ⌊Exp()·(−1/ln(1−p))⌋ bit for bit,
+// with the same clamp, and leave the stream in the same state — so preparing
+// 1/λ once changes no draw and every skip-scan consumes exactly one Exp per
+// skip. 10⁻⁹ is the small-p end, where λ ≈ p needs Log1p.
 func TestGeoMatchesUnpreparedDraw(t *testing.T) {
 	for _, p := range []float64{0.9, 0.5, 0.1, 1.0 / 3, 1e-3, 3.3e-4, 1e-9} {
 		g := NewGeo(p)
 		a, b := New(17), New(17)
 		for i := 0; i < 20000; i++ {
 			want := uint64(math.MaxUint64)
-			if q := math.Log(1.0-b.Float64()) / math.Log1p(-p); q < maxGeometric {
+			if q := b.Exp() * (-1 / math.Log1p(-p)); q < maxGeometric {
 				want = uint64(q)
 			}
 			if got := g.Draw(a); got != want {

@@ -187,13 +187,14 @@ func (r *Source) Bool(p float64) bool {
 // identical to jumping Geometric(p)+1 elements between successes, which
 // turns an O(population) scan into O(expected successes) work.
 //
-// The draw is by inverse CDF, G = ⌊ln(U)/ln(1−p)⌋ with U uniform on (0, 1]:
-// P(G ≥ k) = P(U ≤ (1−p)^k) = (1−p)^k, the exact geometric tail (up to
-// float64 rounding of the logarithms). One uniform is consumed per call.
-// p = 1 returns 0 without consuming randomness; p ≤ 0 panics (the waiting
-// time would be infinite — callers handle the never-hits case themselves,
-// typically via SkipPast returning past the end of their population).
-// Callers drawing repeatedly at one p prepare it once with NewGeo.
+// The draw is a scaled exponential, G = ⌊E/λ⌋ with E = Exp() and
+// λ = −ln(1−p): E/λ is exponential with rate λ, so
+// P(G ≥ k) = P(E ≥ kλ) = e^(−kλ) = (1−p)^k, the exact geometric tail (up
+// to float64 rounding of λ and of the product). p ≥ 1 returns 0 without
+// consuming randomness; p ≤ 0 panics (the waiting time would be infinite —
+// callers handle the never-hits case themselves, typically via SkipPast
+// returning past the end of their population). Callers drawing repeatedly
+// at one p prepare it once with NewGeo.
 func (r *Source) Geometric(p float64) uint64 { return NewGeo(p).Draw(r) }
 
 // SkipPast returns the index of the next success at or after position i when
@@ -205,19 +206,18 @@ func (r *Source) Geometric(p float64) uint64 { return NewGeo(p).Draw(r) }
 func (r *Source) SkipPast(i uint64, p float64) uint64 { return NewGeo(p).SkipPast(r, i) }
 
 // Geo is the geometric law of Source.Geometric prepared for one p: the
-// ln(1−p) every draw divides by is computed once, here, instead of on every
-// draw. Dividing by the stored value gives the very quotient Geometric
-// computes, so a Geo's draws are bit-identical to Geometric(p)'s and a
-// scan's seed mapping is unchanged.
+// scale 1/λ = −1/ln(1−p) is computed once, here, so a draw is one Exp and
+// one multiply — no logarithm and no division. Log1p keeps λ precise for
+// small p, where ln(1−p) ≈ −p.
 type Geo struct {
-	p    float64
-	logq float64 // ln(1−p); read only when 0 < p < 1
+	p      float64
+	invLam float64 // −1/ln(1−p); read only when 0 < p < 1
 }
 
 // NewGeo prepares the geometric law of success probability p.
-func NewGeo(p float64) Geo { return Geo{p: p, logq: math.Log1p(-p)} }
+func NewGeo(p float64) Geo { return Geo{p: p, invLam: -1 / math.Log1p(-p)} }
 
-// Draw is Source.Geometric(p) for the prepared p.
+// Draw is Source.Geometric(p) for the prepared p: ⌊Exp()·(−1/ln(1−p))⌋.
 func (g Geo) Draw(r *Source) uint64 {
 	if g.p >= 1 {
 		return 0
@@ -225,18 +225,17 @@ func (g Geo) Draw(r *Source) uint64 {
 	if g.p <= 0 {
 		panic("rng: Geometric with p <= 0")
 	}
-	// 1 − Float64() lies in (0, 1]: u = 1 exactly maps to G = 0, and the
-	// smallest u (2⁻⁵³) bounds G ≤ 53·ln2/p, so the float division cannot
-	// produce +Inf. Log1p keeps precision for small p, where ln(1−p) ≈ −p.
-	u := 1.0 - r.Float64()
-	q := math.Log(u) / g.logq
-	if q >= maxGeometric {
+	// Exp is below 45, so the product is finite unless 1/λ itself overflows
+	// (p below ~10⁻³⁰⁸); the negated test also sends that case's 0·Inf = NaN
+	// to "no hit" rather than through an undefined float→uint64 conversion.
+	q := r.Exp() * g.invLam
+	if !(q < maxGeometric) {
 		return math.MaxUint64
 	}
 	return uint64(q)
 }
 
-// maxGeometric guards the float→uint64 conversion in Draw: any quotient at
+// maxGeometric guards the float→uint64 conversion in Draw: any skip at
 // or beyond 2⁶³ is clamped to MaxUint64 (a skip past every population a
 // uint64 can index, so callers see "no hit" uniformly).
 const maxGeometric = 1 << 63

@@ -213,12 +213,14 @@ func QuickChurnScaleOptions() ChurnScaleOptions {
 //
 // The million-node cells pin the asymptotic trend of the E12 finding: the
 // tolerable churn rate keeps shrinking as q ∝ log n stretches the binding
-// window — at 0.01%/round success has already fallen to ~2/3 by n = 10⁵ and
-// ~1/2 by n = 10⁶, and 0.2%/round is total collapse at both sizes. The
-// geometric rows fail at every jitter for a different reason: a connection
-// radius r ~ sqrt(deg/n) gives the torus a Θ(1/r) diameter, so Find-Min
-// starves exactly as it does on the ring (E9) — spatial locality, not
-// turnover, is what kills the complete-graph protocol there.
+// window — 0.2%/round is total collapse at both sizes, while 0.01%/round
+// still succeeds in 2–3 of 3 trials at n = 10⁵ (the spread of two seed
+// mappings of the same law) and 1 of 2 at n = 10⁶; so few trials bound the
+// rate only coarsely. The geometric rows fail at every jitter for a
+// different reason: a connection radius r ~ sqrt(deg/n) gives the torus a
+// Θ(1/r) diameter, so Find-Min starves exactly as it does on the ring
+// (E9) — spatial locality, not turnover, is what kills the complete-graph
+// protocol there.
 func RunE13ChurnAtScale(o ChurnScaleOptions) []*Table {
 	deg := o.Degree
 	if deg == 0 {

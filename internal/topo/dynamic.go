@@ -44,9 +44,15 @@ import (
 // Seed mapping: the skip-sampling engine consumes randomness per event where
 // the per-pair scan it replaced consumed one draw per pair, so a given seed
 // maps to a different (equally distributed) edge-set evolution than it did
-// under the dense engine. Same-seed determinism is unchanged; recorded
-// numbers from dynamic experiments (E12) were re-derived when the mapping
-// changed.
+// under the dense engine. The mapping moved once more when the skips stopped
+// being drawn by inverse CDF, ⌊ln U / ln(1−p)⌋, and became a scaled
+// exponential, ⌊E/λ⌋ with E from a ziggurat (rng.Geo): the same geometric
+// law, but one Uint64 and a multiply per skip on almost every draw instead
+// of a logarithm and a division, which were over a quarter of a flip's
+// cost. Both remaps touch only the edge-Markovian process, the only caller
+// of the skip sampler. Same-seed determinism is unchanged; recorded numbers
+// from dynamic experiments (E12, E12b, and E13 up to n = 10⁵) were
+// re-derived when the mapping changed.
 
 // Dynamic is a Topology whose edge set evolves between rounds.
 type Dynamic interface {
