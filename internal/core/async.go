@@ -343,6 +343,10 @@ func RunAsyncResult(cfg AsyncRunConfig) (AsyncRunResult, error) {
 		if cfg.Faulty != nil && cfg.Faulty[i] {
 			continue
 		}
+		if !cfg.Colors[i].Valid(p.NumColors) {
+			return AsyncRunResult{Outcome: Outcome{Failed: true}},
+				fmt.Errorf("core: node %d has color %d outside Σ", i, cfg.Colors[i])
+		}
 		a := NewAsyncAgent(i, p, cfg.Colors[i], net, master.Split(uint64(i)))
 		agents[i] = a
 		parts[i] = a

@@ -130,6 +130,15 @@ func TestRunAsyncValidation(t *testing.T) {
 	if _, _, err := RunAsync(AsyncRunConfig{Params: p, Colors: make([]Color, 2)}); err == nil {
 		t.Fatal("bad colors length accepted")
 	}
+	// A color outside Σ is an error, the one PrepareRun returns, not a panic
+	// in NewAsyncAgent.
+	colors := UniformColors(8, 2)
+	colors[3] = 7
+	_, want := PrepareRun(RunConfig{Params: p, Colors: colors})
+	_, err := RunAsyncResult(AsyncRunConfig{Params: p, Colors: colors})
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("color outside Σ: RunAsyncResult error %v, PrepareRun error %v", err, want)
+	}
 }
 
 func TestNewAsyncAgentRejectsInvalidColor(t *testing.T) {

@@ -94,39 +94,3 @@ func Chunks(workers, n int, fn func(worker, lo, hi int)) {
 	}
 	wg.Wait()
 }
-
-// ForNChunked is like ForN but hands each worker whole (lo, hi) ranges,
-// letting the callee amortize per-chunk setup (e.g. a scratch buffer).
-func ForNChunked(workers, n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	block := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * block
-		if lo >= n {
-			break
-		}
-		hi := lo + block
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}

@@ -27,28 +27,6 @@ func TestForNNegativeN(t *testing.T) {
 	}
 }
 
-func TestForNChunkedCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		for _, n := range []int{0, 1, 17, 256} {
-			hits := make([]atomic.Int32, n)
-			ForNChunked(workers, n, func(lo, hi int) {
-				if lo < 0 || hi > n || lo > hi {
-					t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, n)
-					return
-				}
-				for i := lo; i < hi; i++ {
-					hits[i].Add(1)
-				}
-			})
-			for i := range hits {
-				if got := hits[i].Load(); got != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, got)
-				}
-			}
-		}
-	}
-}
-
 func TestForNParallelismActuallyRuns(t *testing.T) {
 	var total atomic.Int64
 	ForN(8, 100000, func(i int) { total.Add(int64(i)) })

@@ -180,6 +180,9 @@ func RunGame(cfg GameConfig) (GameResult, error) {
 	if net == nil {
 		net = topo.NewComplete(p.N)
 	}
+	if net.N() != p.N {
+		return GameResult{}, fmt.Errorf("rational: topology has %d nodes, params n = %d", net.N(), p.N)
+	}
 	inCoalition := make(map[int]bool, len(cfg.Coalition))
 	for _, id := range cfg.Coalition {
 		if id < 0 || id >= p.N {
@@ -197,11 +200,14 @@ func RunGame(cfg GameConfig) (GameResult, error) {
 	agents := make([]gossip.Agent, p.N)
 	var honest []*core.Agent
 	for i := 0; i < p.N; i++ {
-		if (cfg.Faulty != nil && cfg.Faulty[i]) || inCoalition[i] {
+		if cfg.Faulty != nil && cfg.Faulty[i] {
 			continue
 		}
 		if !cfg.Colors[i].Valid(p.NumColors) {
 			return GameResult{}, fmt.Errorf("rational: node %d has color %d outside Σ", i, cfg.Colors[i])
+		}
+		if inCoalition[i] {
+			continue
 		}
 		a := core.NewAgent(i, p, cfg.Colors[i], net, master.Split(uint64(i)))
 		agents[i] = a

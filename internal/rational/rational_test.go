@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/topo"
 )
 
 func TestUtilityOf(t *testing.T) {
@@ -62,12 +63,16 @@ func TestCoalitionMinCert(t *testing.T) {
 func TestRunGameValidation(t *testing.T) {
 	p := core.MustParams(16, 2, 1)
 	colors := core.UniformColors(16, 2)
+	badColor := core.UniformColors(16, 2)
+	badColor[2] = 7
 	cases := []GameConfig{
 		{Params: p, Colors: colors[:3]},                                                                              // bad colors len
 		{Params: p, Colors: colors, Coalition: []int{99}, Deviation: Honest{}},                                       // member out of range
 		{Params: p, Colors: colors, Coalition: []int{1, 1}, Deviation: Honest{}},                                     // duplicate
 		{Params: p, Colors: colors, Coalition: []int{1}},                                                             // nil deviation
 		{Params: p, Colors: colors, Faulty: core.WorstCaseFaults(16, 0.2), Coalition: []int{0}, Deviation: Honest{}}, // faulty member
+		{Params: p, Colors: colors, Topology: topo.NewComplete(8)},                                                   // topology size is not n
+		{Params: p, Colors: badColor, Coalition: []int{2}, Deviation: Honest{}},                                      // member's color outside Σ
 	}
 	for i, cfg := range cases {
 		if _, err := RunGame(cfg); err == nil {

@@ -3,10 +3,11 @@
 // loopback interface or a Unix domain socket — instead of an in-process
 // channel handoff. The protocol logic is untouched, and the runtime's
 // transcript stays byte-identical to the simulator's (pinned by the
-// equivalence suite in internal/runtime). The conduit has one delivery path,
-// the batch (runtime.BatchConduit): the coordinator stages a whole delivery
-// wave and the conduit coalesces all same-peer messages of a flush into
-// multi-message frames — one write, one bitmap ack — with per-peer windows of
+// equivalence suite in internal/runtime). The conduit is a loopback: it
+// dials only its own listener, over one outbound connection. It has one
+// delivery path, the batch (runtime.BatchConduit): the coordinator stages a
+// whole delivery wave and the conduit coalesces the messages of a flush into
+// multi-message frames — one write, one bitmap ack — with a window of
 // in-flight frames settled at the barrier. Deliver is a batch of one.
 //
 // # Frame format
@@ -23,8 +24,8 @@
 //	kind byte | flags byte | round uvarint | from uvarint | to uvarint |
 //	[sent-at ticks varint, if flags&1] | payload
 //
-// A batch frame carries the bodies of one flush's same-peer messages back to
-// back, in delivery order, each a runtime.Message for the node with index
+// A batch frame carries the bodies of a flush's messages back to back, in
+// delivery order, each a runtime.Message for the node with index
 // "to"; the listener routes each body in sequence — preserving the per-
 // destination FIFO order the round-barrier coordinator depends on — and
 // answers with a single batch ack carrying the frame's sequence number, whose
@@ -34,9 +35,8 @@
 // per-body length. Types 1 and 2 were the single-message frame and its ack of
 // an earlier generation; nothing speaks them any more, and like every unknown
 // type they are connection-fatal. SentAt crosses the wire as monotonic ticks
-// relative to the conduit's epoch — exact when sender and receiver share the
-// conduit (the single-process loopback case); cross-process latency
-// calibration is the sharded-serve follow-up's problem.
+// relative to the conduit's epoch, which sender and receiver share: they are
+// the same conduit.
 //
 // The encoding is versioned (batchVersion) and covers exactly the
 // concrete gossip.Payload types the protocol produces, tagged:

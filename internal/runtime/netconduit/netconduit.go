@@ -16,7 +16,7 @@ import (
 
 // Dial/retry tuning. Dispatching a frame makes at most maxAttempts dials,
 // sleeping a doubling backoff (capped at maxBackoff) after each failed one, so
-// a dead peer costs a bounded ~100ms before the frame's deliveries are
+// a dead listener costs a bounded ~100ms before the frame's deliveries are
 // reported lost instead of wedging the coordinator forever.
 const (
 	maxAttempts    = 6
@@ -25,36 +25,26 @@ const (
 )
 
 // SocketConduit is a runtime.Conduit whose deliveries cross a real OS
-// socket. It is both halves of the transport: a listener that routes the
-// messages of inbound batch frames into their destination nodes' mailboxes and
-// answers each frame with a bitmap ack, and a per-peer set of outbound
-// connections (lazily dialed, reconnected with bounded backoff) that batches
-// write their frames to.
-//
-// With the default routing every node is hosted behind the conduit's own
-// listener — the single-process loopback configuration the transcript-
-// equivalence suite pins. Route redirects individual node IDs at other
-// listeners, which is the seam the multi-process sharded-serve follow-up
-// plugs into; the per-peer connection and reconnect machinery is already
-// exercised across distinct conduits by this package's tests.
+// socket. It is both halves of a loopback transport: a listener that routes
+// the messages of inbound batch frames into their destination nodes'
+// mailboxes and answers each frame with a bitmap ack, and one outbound
+// connection to that same listener (lazily dialed, reconnected with bounded
+// backoff) that batches write their frames to. Every node the runtime hosts
+// is reached through it.
 //
 // Deliver is safe for concurrent use. Close is idempotent; Runtime.Shutdown
 // calls it automatically (after all host goroutines have exited) when the
 // conduit is the runtime's transport.
 type SocketConduit struct {
 	network string
+	addr    string // what the outbound connection dials: the listener's own address
 	ln      net.Listener
 	dir     string // temp dir holding the unix socket, removed on Close
 	epoch   time.Time
 
-	// nodes holds the local nodes inbound frames route to, and peerCache
-	// memoizes peerFor, both indexed by node ID: the per-message lookups on
-	// both sides of the socket are two atomic loads each. Route invalidates
-	// the affected peerCache slot. routes, read only on a peerFor miss, holds
-	// the node IDs hosted behind other listeners (int -> route).
-	nodes     idTable[runtime.Node]
-	peerCache idTable[peer]
-	routes    sync.Map
+	// nodes holds the nodes inbound frames route to, indexed by node ID: the
+	// serve loop's per-message lookup is two atomic loads.
+	nodes idTable[runtime.Node]
 
 	// batchBytes caps one staged batch frame's body; 0 means
 	// defaultBatchBytes. Tests shrink it to force multi-frame windows.
@@ -67,8 +57,12 @@ type SocketConduit struct {
 	singles []*socketBatch
 
 	mu    sync.Mutex
-	peers map[string]*peer
 	conns map[net.Conn]struct{} // accepted inbound connections
+
+	seq      atomic.Uint64 // the last outbound frame's sequence number
+	omu      sync.Mutex    // guards out and redialed (dial / kill)
+	out      *peerConn     // the live outbound connection, nil until dialed
+	redialed bool          // a connection died; the next successful dial is a reconnect
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -77,9 +71,6 @@ type SocketConduit struct {
 	reconnects atomic.Int64 // outbound connections re-dialed after a failure
 	rejects    atomic.Int64 // inbound connections dropped over malformed frames
 }
-
-// route addresses the listener hosting a non-local node.
-type route struct{ network, addr string }
 
 // Listen starts a socket conduit on the given network: "tcp" listens on a
 // kernel-assigned loopback port, "unix" on a socket in a fresh temp
@@ -90,7 +81,6 @@ func Listen(network string) (*SocketConduit, error) {
 	c := &SocketConduit{
 		network: network,
 		epoch:   time.Now(),
-		peers:   make(map[string]*peer),
 		conns:   make(map[net.Conn]struct{}),
 		closed:  make(chan struct{}),
 	}
@@ -112,34 +102,14 @@ func Listen(network string) (*SocketConduit, error) {
 		}
 		return nil, fmt.Errorf("netconduit: listen %s: %w", network, err)
 	}
+	c.addr = c.ln.Addr().String()
 	c.wg.Add(1)
 	go c.accept()
 	return c, nil
 }
 
-// Addr returns the listener's address — what another conduit's Route points
-// at.
-func (c *SocketConduit) Addr() net.Addr { return c.ln.Addr() }
-
-// Register makes a locally hosted node reachable by inbound frames. Deliver
-// registers its destinations lazily, which covers the loopback case; a
-// receiving process in a multi-listener topology registers its shard
-// explicitly.
-func (c *SocketConduit) Register(n *runtime.Node) {
-	if n != nil {
-		c.nodes.store(n.ID(), n)
-	}
-}
-
-// Route directs deliveries for one node ID at the listener on addr instead
-// of this conduit's own.
-func (c *SocketConduit) Route(id int, network, addr string) {
-	c.routes.Store(id, route{network: network, addr: addr})
-	c.peerCache.store(id, nil)
-}
-
 // Deliver implements runtime.Conduit as a batch of one: encode the message,
-// write its frame to the peer hosting dst (dialing or re-dialing as needed),
+// write its frame to the listener (dialing or re-dialing as needed),
 // and wait for the ack that says dst's mailbox accepted it. False means the
 // message did not survive transport — encode-to-mailbox — and the scheduler
 // applies its loss semantics.
@@ -161,9 +131,10 @@ func (c *SocketConduit) Deliver(dst *runtime.Node, m runtime.Message) bool {
 	return ok
 }
 
-// register lazily records dst as locally hosted. Load-then-store: on the
-// steady-state path the node is already known and the check is one atomic
-// load, where a store would take the table's mutex per delivery.
+// register lazily records dst as reachable by inbound frames.
+// Load-then-store: on the steady-state path the node is already known and the
+// check is one atomic load, where a store would take the table's mutex per
+// delivery.
 func (c *SocketConduit) register(dst *runtime.Node) {
 	if c.nodes.load(dst.ID()) != dst {
 		c.nodes.store(dst.ID(), dst)
@@ -184,40 +155,19 @@ func (c *SocketConduit) Close() error {
 		for conn := range c.conns {
 			conn.Close()
 		}
-		for _, p := range c.peers {
-			p.closeConn()
-		}
 		c.mu.Unlock()
+		c.omu.Lock()
+		if c.out != nil {
+			c.out.conn.Close()
+			c.out = nil
+		}
+		c.omu.Unlock()
 		c.wg.Wait()
 		if c.dir != "" {
 			os.RemoveAll(c.dir)
 		}
 	})
 	return nil
-}
-
-// peerFor returns (creating on first use) the outbound peer hosting id. The
-// per-node cache keeps the steady-state path off the global mutex and away
-// from the key-string allocation; Route invalidates the affected entry.
-func (c *SocketConduit) peerFor(id int) *peer {
-	if p := c.peerCache.load(id); p != nil {
-		return p
-	}
-	network, addr := c.network, c.ln.Addr().String()
-	if v, ok := c.routes.Load(id); ok {
-		r := v.(route)
-		network, addr = r.network, r.addr
-	}
-	key := network + "!" + addr
-	c.mu.Lock()
-	p, ok := c.peers[key]
-	if !ok {
-		p = &peer{c: c, network: network, addr: addr}
-		c.peers[key] = p
-	}
-	c.mu.Unlock()
-	c.peerCache.store(id, p)
-	return p
 }
 
 // idTable maps node IDs to pointers through a slice indexed by ID. A load is
@@ -300,7 +250,7 @@ func (c *SocketConduit) dropConn(conn net.Conn) {
 // batch, which hands the frame to the destination nodes' hosts in per-host
 // chunks and so preserves per-destination FIFO — and answer it with one bitmap
 // ack of the Flush results. Any malformed frame, and any frame type but a
-// batch, is connection-fatal — the peer's pending deliveries fail as losses
+// batch, is connection-fatal — the sender's pending deliveries fail as losses
 // and the conduit stays up for the next connection — so garbage on the wire
 // can never wedge the coordinator.
 func (c *SocketConduit) serve(conn net.Conn) {
@@ -360,19 +310,6 @@ func (c *SocketConduit) serve(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// peer is one outbound destination: the connection to a listener and the
-// reconnect state.
-type peer struct {
-	c       *SocketConduit
-	network string
-	addr    string
-	seq     atomic.Uint64
-
-	mu       sync.Mutex // guards pc and redialed (dial / kill)
-	pc       *peerConn
-	redialed bool // a connection died; the next successful dial is a reconnect
 }
 
 // peerConn is one live outbound connection. Pending acks are per-connection:
@@ -458,51 +395,40 @@ func (pc *peerConn) write(frame []byte) error {
 	return err
 }
 
-// ensureConn returns the live connection, dialing one (and starting its ack
-// reader) if needed.
-func (p *peer) ensureConn() (*peerConn, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.pc != nil {
-		return p.pc, nil
+// ensureConn returns the live outbound connection, dialing one (and starting
+// its ack reader) if needed.
+func (c *SocketConduit) ensureConn() (*peerConn, error) {
+	c.omu.Lock()
+	defer c.omu.Unlock()
+	if c.out != nil {
+		return c.out, nil
 	}
-	conn, err := net.DialTimeout(p.network, p.addr, time.Second)
+	conn, err := net.DialTimeout(c.network, c.addr, time.Second)
 	if err != nil {
 		return nil, err
 	}
-	if p.redialed {
-		p.redialed = false
-		p.c.reconnects.Add(1)
+	if c.redialed {
+		c.redialed = false
+		c.reconnects.Add(1)
 	}
 	pc := &peerConn{conn: conn, pending: make(map[uint64]*batchWaiter)}
-	p.pc = pc
-	p.c.wg.Add(1)
-	go p.readAcks(pc)
+	c.out = pc
+	c.wg.Add(1)
+	go c.readAcks(pc)
 	return pc, nil
 }
 
 // kill retires a connection: detach it so the next dispatch re-dials, close
 // it, and fail what was in flight on it.
-func (p *peer) kill(pc *peerConn) {
-	p.mu.Lock()
-	if p.pc == pc {
-		p.pc = nil
-		p.redialed = true
+func (c *SocketConduit) kill(pc *peerConn) {
+	c.omu.Lock()
+	if c.out == pc {
+		c.out = nil
+		c.redialed = true
 	}
-	p.mu.Unlock()
+	c.omu.Unlock()
 	pc.conn.Close()
 	pc.failAll()
-}
-
-// closeConn is Close's half of kill: drop the live connection, if any.
-func (p *peer) closeConn() {
-	p.mu.Lock()
-	pc := p.pc
-	p.pc = nil
-	p.mu.Unlock()
-	if pc != nil {
-		pc.conn.Close()
-	}
 }
 
 // defaultBatchBytes caps one staged frame's body: large enough that a full
@@ -512,22 +438,25 @@ func (p *peer) closeConn() {
 const defaultBatchBytes = 32 << 10
 
 // NewBatch implements runtime.BatchConduit: deliveries staged through the
-// returned batch coalesce per peer into multi-message frames — one write and
-// one bitmap ack per frame instead of a synchronous round trip per message —
-// with a window of in-flight frames per peer that Flush settles at the round
-// barrier. The batch is owned by one goroutine (the coordinator); other
-// batches, and Deliver, stay independently usable on the same conduit.
+// returned batch coalesce into multi-message frames — one write and one
+// bitmap ack per frame instead of a synchronous round trip per message — with
+// a window of in-flight frames that Flush settles at the round barrier. The
+// batch is owned by one goroutine (the coordinator); other batches, and
+// Deliver, stay independently usable on the same conduit.
 func (c *SocketConduit) NewBatch() runtime.Batch {
-	return &socketBatch{c: c, stages: make(map[*peer]*peerStage)}
+	return &socketBatch{c: c}
 }
 
-// socketBatch is one coordinator-owned delivery wave in flight: per-peer
-// staging buffers of encoded message bodies, sealed into batch frames when
-// they reach the size threshold (the window) or at Flush (the barrier).
+// socketBatch is one coordinator-owned delivery wave in flight: a staging
+// buffer of encoded message bodies, sealed into a batch frame when it reaches
+// the size threshold (the window) or at Flush (the barrier). The stage holds
+// the bodies back to back, each one's index in the wave's result slice, and
+// the Params memory of the frame they will become (reset when it is sealed).
 type socketBatch struct {
 	c        *SocketConduit
-	stages   map[*peer]*peerStage
-	active   []*peerStage   // stages holding bodies, in first-Add order
+	buf      []byte
+	idxs     []int32
+	memo     paramsMemo
 	inflight []*batchWaiter // dispatched frames, in dispatch order
 	freeW    []*batchWaiter // settled waiters, recycled across flushes
 	results  []bool
@@ -535,65 +464,42 @@ type socketBatch struct {
 	n        int    // deliveries Added since the last Flush
 }
 
-// peerStage accumulates one peer's staged messages: their encoded bodies
-// back to back, each one's index in the wave's result slice, and the Params
-// memory of the frame they will become (reset when the stage is sealed).
-type peerStage struct {
-	p    *peer
-	buf  []byte
-	idxs []int32
-	memo paramsMemo
-}
-
-// Add implements runtime.Batch: encode the message into its peer's staging
-// buffer — sealing and dispatching a frame when the buffer reaches the
-// threshold, so a large wave pipelines as a window of in-flight frames
-// rather than one giant write at the barrier. Nothing waits here.
+// Add implements runtime.Batch: encode the message into the staging buffer —
+// sealing and dispatching a frame when the buffer reaches the threshold, so a
+// large wave pipelines as a window of in-flight frames rather than one giant
+// write at the barrier. Nothing waits here.
 func (b *socketBatch) Add(dst *runtime.Node, m runtime.Message) {
 	idx := int32(b.n)
 	b.n++
-	id := dst.ID()
 	b.c.register(dst)
-	p := b.c.peerFor(id)
-	st := b.stages[p]
-	if st == nil {
-		st = &peerStage{p: p}
-		b.stages[p] = st
-	}
-	if len(st.idxs) == 0 {
-		b.active = append(b.active, st)
-	}
-	start := len(st.buf)
-	buf, err := appendMessageBody(st.buf, id, m, b.c.epoch, &st.memo)
+	start := len(b.buf)
+	buf, err := appendMessageBody(b.buf, dst.ID(), m, b.c.epoch, &b.memo)
 	if err != nil {
-		st.buf = st.buf[:start]
+		b.buf = b.buf[:start]
 		// Only a payload outside the protocol's set — an unknown type, or
 		// Params no constructor builds — gets here: a programming error, not
 		// a transport condition. Fail loudly instead of folding it into the
 		// loss model.
 		panic(fmt.Sprintf("netconduit: %v", err))
 	}
-	st.buf = buf
-	st.idxs = append(st.idxs, idx)
+	b.buf = buf
+	b.idxs = append(b.idxs, idx)
 	limit := b.c.batchBytes
 	if limit <= 0 {
 		limit = defaultBatchBytes
 	}
-	if len(st.buf) >= limit {
-		b.dispatch(st)
+	if len(b.buf) >= limit {
+		b.dispatch()
 	}
 }
 
-// Flush implements runtime.Batch: seal every remaining stage, then settle
-// the whole window — blocking until each in-flight frame's bitmap ack (or
-// connection death) arrives — and report per-delivery results in Add order.
+// Flush implements runtime.Batch: seal what is staged, then settle the whole
+// window — blocking until each in-flight frame's bitmap ack (or connection
+// death) arrives — and report per-delivery results in Add order.
 func (b *socketBatch) Flush() []bool {
-	for _, st := range b.active {
-		if len(st.idxs) > 0 {
-			b.dispatch(st)
-		}
+	if len(b.idxs) > 0 {
+		b.dispatch()
 	}
-	b.active = b.active[:0]
 	if cap(b.results) < b.n {
 		b.results = make([]bool, b.n)
 	}
@@ -636,25 +542,23 @@ func (b *socketBatch) fail(w *batchWaiter) {
 	w.done <- struct{}{}
 }
 
-// dispatch seals one stage into a batch frame and writes it, leaving its
+// dispatch seals the stage into a batch frame and writes it, leaving its
 // waiter in flight for Flush to settle. The dial is retried with bounded
 // backoff, but a frame is never re-written after a write error: it, or
 // in-flight frames on the dying connection, could still be processed, and a
 // rewrite on a fresh connection would duplicate it or overtake them and break
 // per-destination FIFO order — so the frame's deliveries fail as transport
 // losses instead (at-most-once, the scheduler's loss semantics).
-func (b *socketBatch) dispatch(st *peerStage) {
+func (b *socketBatch) dispatch() {
 	w := b.getWaiter()
-	w.idxs = append(w.idxs, st.idxs...)
+	w.idxs = append(w.idxs, b.idxs...)
 	b.inflight = append(b.inflight, w)
-	count := len(st.idxs)
-	p := st.p
-	seq := p.seq.Add(1)
-	frame, err := appendBatchFrame(b.frame[:0], seq, count, st.buf)
+	seq := b.c.seq.Add(1)
+	frame, err := appendBatchFrame(b.frame[:0], seq, len(b.idxs), b.buf)
 	b.frame = frame[:0]
-	st.buf = st.buf[:0]
-	st.idxs = st.idxs[:0]
-	st.memo = paramsMemo{}
+	b.buf = b.buf[:0]
+	b.idxs = b.idxs[:0]
+	b.memo = paramsMemo{}
 	if err != nil {
 		// Oversized frame: unreachable below the staging threshold, but fail
 		// as losses rather than wedge the round.
@@ -669,7 +573,7 @@ func (b *socketBatch) dispatch(st *peerStage) {
 			return
 		default:
 		}
-		pc, err := p.ensureConn()
+		pc, err := b.c.ensureConn()
 		if err != nil {
 			select {
 			case <-b.c.closed:
@@ -687,7 +591,7 @@ func (b *socketBatch) dispatch(st *peerStage) {
 		}
 		if err := pc.write(frame); err != nil {
 			mine := pc.unregister(seq)
-			p.kill(pc)
+			b.c.kill(pc)
 			if mine {
 				b.fail(w)
 			}
@@ -701,8 +605,8 @@ func (b *socketBatch) dispatch(st *peerStage) {
 // readAcks drains one connection's ack stream, resolving pending frames,
 // until the connection dies or speaks anything but a well-formed batch ack —
 // then retires it so in-flight deliveries fail and the next one reconnects.
-func (p *peer) readAcks(pc *peerConn) {
-	defer p.c.wg.Done()
+func (c *SocketConduit) readAcks(pc *peerConn) {
+	defer c.wg.Done()
 	var buf []byte
 	for {
 		body, err := readFrame(pc.conn, &buf)
@@ -715,5 +619,5 @@ func (p *peer) readAcks(pc *peerConn) {
 		}
 		pc.resolve(seq, bits)
 	}
-	p.kill(pc)
+	c.kill(pc)
 }

@@ -103,21 +103,11 @@ func TestReconnectAfterConnKilled(t *testing.T) {
 			if !c.Deliver(rt.Node(0), voteMsg(p)) {
 				t.Fatal("first delivery failed")
 			}
-			// One loopback peer exists now; yank its live connection out from
-			// under it, as a peer crash or network partition would.
-			c.mu.Lock()
-			if len(c.peers) != 1 {
-				c.mu.Unlock()
-				t.Fatalf("expected 1 peer, have %d", len(c.peers))
-			}
-			var p0 *peer
-			for _, pe := range c.peers {
-				p0 = pe
-			}
-			c.mu.Unlock()
-			p0.mu.Lock()
-			pc := p0.pc
-			p0.mu.Unlock()
+			// Yank the live outbound connection out from under the conduit,
+			// as a listener crash or network partition would.
+			c.omu.Lock()
+			pc := c.out
+			c.omu.Unlock()
 			if pc == nil {
 				t.Fatal("no live outbound connection after a delivery")
 			}
@@ -126,9 +116,9 @@ func TestReconnectAfterConnKilled(t *testing.T) {
 			// so the next delivery deterministically takes the re-dial path.
 			deadline := time.Now().Add(5 * time.Second)
 			for {
-				p0.mu.Lock()
-				gone := p0.pc == nil
-				p0.mu.Unlock()
+				c.omu.Lock()
+				gone := c.out == nil
+				c.omu.Unlock()
 				if gone {
 					break
 				}
@@ -166,7 +156,6 @@ func TestGarbageFramesRejected(t *testing.T) {
 			defer rt.Shutdown()
 			c := listen(t, network)
 			defer c.Close()
-			addr := c.Addr()
 			cases := [][]byte{
 				{0xFF, 0xFF, 0xFF, 0xFF},                             // length prefix beyond MaxFrame
 				{0, 0, 0, 3, 9, 9, 9},                                // unknown frame type 9
@@ -180,7 +169,7 @@ func TestGarbageFramesRejected(t *testing.T) {
 				{0, 0, 0, 6, frameBatch, batchVersion, 1, 1, 3, 0},   // message body truncated mid-header
 			}
 			for i, frame := range cases {
-				conn, err := net.Dial(addr.Network(), addr.String())
+				conn, err := net.Dial(c.network, c.addr)
 				if err != nil {
 					t.Fatalf("case %d: dial: %v", i, err)
 				}
@@ -207,7 +196,7 @@ func TestGarbageFramesRejected(t *testing.T) {
 }
 
 // TestConcurrentDeliver exercises the conduit's concurrency contract under
-// the race detector: many goroutines delivering through one shared peer
+// the race detector: many goroutines delivering through one shared outbound
 // connection, every ack finding its own waiter.
 func TestConcurrentDeliver(t *testing.T) {
 	for _, network := range networks {
@@ -237,35 +226,6 @@ func TestConcurrentDeliver(t *testing.T) {
 				t.Errorf("concurrent delivery to node %d failed", id)
 			}
 		})
-	}
-}
-
-// TestRouteAcrossConduits pins the multi-listener seam: a node registered
-// behind a second conduit's listener is reachable through Route, over a
-// second outbound peer — the exact machinery a sharded deployment uses.
-func TestRouteAcrossConduits(t *testing.T) {
-	rt, p := testRuntime(t, 16, 5)
-	defer rt.Shutdown()
-	a := listen(t, "tcp")
-	defer a.Close()
-	b := listen(t, "unix")
-	defer b.Close()
-	b.Register(rt.Node(5))
-	a.Route(5, b.Addr().Network(), b.Addr().String())
-	if !a.Deliver(rt.Node(5), voteMsg(p)) {
-		t.Fatal("routed delivery through the remote listener failed")
-	}
-	if !a.Deliver(rt.Node(2), voteMsg(p)) {
-		t.Fatal("loopback delivery alongside a route failed")
-	}
-	a.mu.Lock()
-	peers := len(a.peers)
-	a.mu.Unlock()
-	if peers != 2 {
-		t.Fatalf("sender holds %d peers, want 2 (loopback + routed)", peers)
-	}
-	if got := b.rejects.Load(); got != 0 {
-		t.Fatalf("remote listener rejected %d frames", got)
 	}
 }
 
@@ -307,7 +267,7 @@ func TestBatchDeliver(t *testing.T) {
 }
 
 // TestDeliverSteadyStateAllocs is the alloc budget for the hot path: after
-// warm-up (peer dialed, pools primed, node registered, Params cached), a
+// warm-up (connection dialed, pools primed, node registered, Params cached), a
 // Deliver of a nil-payload message — encode, write, server decode, mailbox
 // hand-off, ack — allocates nothing on either side, and neither does a
 // Deliver of either query payload, which the decoder returns pre-boxed from
@@ -345,41 +305,33 @@ func TestDeliverSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRoutingConcurrentWithInbound runs the routing tables' writers against
-// their readers under the race detector: one goroutine Registers nodes in
-// ascending ID order, so the node table grows while it is read, and another
-// re-Routes IDs at the conduit's own listener, invalidating peer-cache slots,
-// while a batch of deliveries streams inbound frames through both tables.
-// Every delivery must still land.
+// TestRoutingConcurrentWithInbound runs the node table's writers against its
+// reader under the race detector. Deliver registers its destination lazily,
+// so goroutines delivering to bands of IDs — each band walked in descending
+// order, so its first delivery grows the table past the band — store into the
+// table while the serve loop loads from it to route inbound frames, and a
+// batch flushes waves over the whole ID range, also descending, at the same
+// time. n = 256 is past the table's 64-slot start. Every delivery must land.
 func TestRoutingConcurrentWithInbound(t *testing.T) {
 	for _, network := range networks {
 		t.Run(network, func(t *testing.T) {
-			const n = 256
+			const n, workers = 256, 4
 			rt, p := testRuntime(t, n, 12)
 			defer rt.Shutdown()
 			c := listen(t, network)
 			defer c.Close()
-			addr := c.Addr()
-			stop := make(chan struct{})
 			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				for id := 0; id < n; id++ {
-					c.Register(rt.Node(id))
-				}
-			}()
-			go func() {
-				defer wg.Done()
-				for id := 0; ; id = (id + 7) % n {
-					select {
-					case <-stop:
-						return
-					default:
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for id := (w+1)*n/workers - 1; id >= w*n/workers; id-- {
+						if !c.Deliver(rt.Node(id), voteMsg(p)) {
+							t.Errorf("delivery to node %d lost", id)
+						}
 					}
-					c.Route(id, addr.Network(), addr.String())
-				}
-			}()
+				}(w)
+			}
 			b := c.NewBatch()
 			for wave := 0; wave < 8; wave++ {
 				for id := n - 1; id >= 0; id -= 3 {
@@ -391,13 +343,12 @@ func TestRoutingConcurrentWithInbound(t *testing.T) {
 					}
 				}
 			}
-			close(stop)
 			wg.Wait()
 		})
 	}
 }
 
-// TestIDTable pins the routing table's contract: unknown, negative and
+// TestIDTable pins the node table's contract: unknown, negative and
 // out-of-range IDs load nil, growth keeps every stored slot, storing nil past
 // the end does not grow the table, and growth is geometric — filling IDs
 // 0..n-1 in order reallocates O(log n) times, not once per ID.
@@ -487,7 +438,7 @@ func batchAckingListener(t *testing.T, ackFrames int) net.Listener {
 }
 
 // TestBatchWindowConnDeath pins the window's failure isolation: with two
-// frames in flight on one connection, a peer that acks the first and dies
+// frames in flight on one connection, a listener that acks the first and dies
 // before the second fails exactly the second frame's deliveries — the acked
 // frame's results survive, and the conduit re-dials for the next wave.
 func TestBatchWindowConnDeath(t *testing.T) {
@@ -497,9 +448,8 @@ func TestBatchWindowConnDeath(t *testing.T) {
 	defer ln.Close()
 	c := listen(t, "tcp")
 	defer c.Close()
-	c.batchBytes = 1 // every Add seals its own frame
-	c.Route(4, "tcp", ln.Addr().String())
-	c.Route(5, "tcp", ln.Addr().String())
+	c.batchBytes = 1            // every Add seals its own frame
+	c.addr = ln.Addr().String() // dial the stub, not the conduit's own listener
 
 	b := c.NewBatch()
 	b.Add(rt.Node(4), voteMsg(p)) // frame 1: acked

@@ -33,26 +33,3 @@ func ConfigSeed(master uint64, coords ...uint64) uint64 {
 	}
 	return s
 }
-
-// CountTrue returns how many elements are true.
-func CountTrue(xs []bool) int {
-	n := 0
-	for _, x := range xs {
-		if x {
-			n++
-		}
-	}
-	return n
-}
-
-// Means averages a slice of float64 samples.
-func Means(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}

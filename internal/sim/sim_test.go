@@ -80,15 +80,3 @@ func TestParallelTrialsDeterministic(t *testing.T) {
 		t.Fatalf("different master seeds produced %d/100 equal trial results", same)
 	}
 }
-
-func TestCountTrueAndMeans(t *testing.T) {
-	if CountTrue([]bool{true, false, true}) != 2 {
-		t.Fatal("CountTrue wrong")
-	}
-	if Means([]float64{1, 2, 3}) != 2 {
-		t.Fatal("Means wrong")
-	}
-	if Means(nil) != 0 {
-		t.Fatal("Means(nil) wrong")
-	}
-}

@@ -522,24 +522,3 @@ func ksSurvival(t float64) float64 {
 	}
 	return p
 }
-
-// Histogram counts xs into n equal-width buckets spanning [lo, hi]; values
-// outside the range clamp to the end buckets.
-func Histogram(xs []float64, lo, hi float64, n int) []int {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid Histogram parameters")
-	}
-	counts := make([]int, n)
-	w := (hi - lo) / float64(n)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= n {
-			b = n - 1
-		}
-		counts[b]++
-	}
-	return counts
-}

@@ -237,22 +237,6 @@ func TestFitPowerOfLogLinear(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0.1, 0.2, 0.6, 0.9, -5, 10}, 0, 1, 2)
-	if h[0] != 3 || h[1] != 3 {
-		t.Fatalf("Histogram = %v", h)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid Histogram did not panic")
-		}
-	}()
-	Histogram(nil, 1, 0, 3)
-}
-
 func TestTotalVariationProperty(t *testing.T) {
 	// TV is symmetric and within [0, 1] for probability vectors.
 	f := func(raw []float64) bool {

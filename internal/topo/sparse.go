@@ -427,6 +427,3 @@ func (g *Geometric) EdgeCount() int { return g.oldEdge }
 
 // Flips reports how many edges the last Advance changed.
 func (g *Geometric) Flips() int { return g.flips }
-
-// Radius returns the connection radius (analysis hook).
-func (g *Geometric) Radius() float64 { return g.radius }
