@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/gossip"
 	"repro/internal/rng"
 	"repro/internal/topo"
@@ -26,9 +28,11 @@ type Agent struct {
 
 	// Voting-Intention output, fixed at construction (round-0 local step).
 	intentions []Intent
-	// voteMsgs[i] is the preallocated Voting-phase payload for intentions[i];
-	// pushing &voteMsgs[i] boxes a pointer, which allocates nothing.
-	voteMsgs []Vote
+	// vote is the agent's one Voting-phase payload: Act fills in the round's
+	// intention and pushes &vote, which boxes a pointer and allocates nothing.
+	// One buffer serves all q slots because every engine settles a push
+	// within the round it was sent in, before the sender's next Act.
+	vote Vote
 
 	// Boxed reusable payloads: queries depend only on Params and the
 	// intention answer's slice header never moves, so steady-state rounds
@@ -41,9 +45,10 @@ type Agent struct {
 	// Commitment state.
 	log *CommitmentLog
 
-	// Voting state. seenVotes dedups retransmit redeliveries by packed
-	// (voter, slot) key — the bounded receive-side complement of the TTL
-	// outbox; nil/unused outside ProtocolRetransmit.
+	// Voting state. w is sized at init for the votes an agent receives whp
+	// (wCap). seenVotes dedups retransmit redeliveries by packed (voter, slot)
+	// key — the bounded receive-side complement of the TTL outbox; nil/unused
+	// outside ProtocolRetransmit.
 	w         []WEntry
 	seenVotes []uint64
 
@@ -54,10 +59,6 @@ type Agent struct {
 	ownCertBuf Certificate
 	minCert    *Certificate
 	replyCert  *Certificate // snapshot answered to same-round pulls
-
-	// vscratch backs the Verification phase's sort/compare buffers, reused
-	// across pooled runs.
-	vscratch verifyScratch
 
 	failed  bool
 	decided bool
@@ -95,8 +96,8 @@ func (a *Agent) reset(id int, p *Params, color Color, net topo.Topology, seed ui
 
 // init runs the round-0 local step shared by NewAgent and reset: it fixes the
 // identity fields and draws the Voting-Intention list from a.r. Everything
-// derived from Params alone — the buffers' length, each vote payload's P and
-// Index, the three boxed payloads — is rebuilt only when Params differ from
+// derived from Params alone — the buffers' sizes, the vote payload's P, the
+// three boxed payloads — is rebuilt only when Params differ from
 // the agent's previous run (always, for a new agent: valid Params are never
 // zero), so a pooled trial under unchanged Params copies no Params and boxes
 // nothing.
@@ -113,14 +114,11 @@ func (a *Agent) init(id int, p *Params, color Color, net topo.Topology) {
 		if cap(a.intentions) < p.Q {
 			a.intentions = make([]Intent, p.Q)
 		}
-		if cap(a.voteMsgs) < p.Q {
-			a.voteMsgs = make([]Vote, p.Q)
-		}
 		a.intentions = a.intentions[:p.Q]
-		a.voteMsgs = a.voteMsgs[:p.Q]
-		for i := range a.voteMsgs {
-			a.voteMsgs[i] = Vote{P: *p, Index: int32(i)}
+		if c := wCap(p.Q); cap(a.w) < c {
+			a.w = make([]WEntry, 0, c)
 		}
+		a.vote = Vote{P: *p}
 		a.intentQ = IntentQuery{P: *p}
 		a.certQ = CertQuery{P: *p}
 		a.intentsMsg = Intentions{P: *p, Votes: a.intentions}
@@ -136,9 +134,14 @@ func (a *Agent) init(id int, p *Params, color Color, net topo.Topology) {
 			H: a.r.Uint64n(p.M) + 1,
 			Z: int32(net.SamplePeer(id, a.r)),
 		}
-		a.voteMsgs[i].Value = a.intentions[i].H
 	}
 }
+
+// wCap is the capacity init gives W: the votes an agent receives are
+// ≈ Poisson(q) on the complete graph, and q + 4⌈√q⌉ covers all but a few in
+// 10⁵ agents for q ≤ 60, so W is sized once instead of grown by doubling to
+// up to 2q. An agent past the bound still appends.
+func wCap(q int) int { return q + 4*int(math.Ceil(math.Sqrt(float64(q)))) }
 
 // ID returns the agent's node identity.
 func (a *Agent) ID() int { return a.id }
@@ -199,12 +202,12 @@ func (a *Agent) Act(round int) gossip.Action {
 			// current neighbor set at send time so the vote reaches somebody
 			// even when the declared edge has since churned away. The declared
 			// values stay binding (see verifyCertificate).
-			return gossip.PushTo(a.net.SamplePeer(a.id, a.r), &a.voteMsgs[i])
+			return gossip.PushTo(a.net.SamplePeer(a.id, a.r), a.voteFor(i))
 		}
-		// Under retransmit, later passes re-push the same preallocated
-		// payload to the same declared target — the vote buffer is the
-		// bounded outbox, and items expire when the passes run out.
-		return gossip.PushTo(int(a.intentions[i].Z), &a.voteMsgs[i])
+		// Under retransmit, later passes re-push slot i's vote to the same
+		// declared target — the intention list is the bounded outbox, and
+		// items expire when the passes run out.
+		return gossip.PushTo(int(a.intentions[i].Z), a.voteFor(i))
 
 	case PhaseFindMin:
 		if a.ownCert == nil {
@@ -230,10 +233,21 @@ func (a *Agent) Act(round int) gossip.Action {
 	}
 }
 
+// voteFor loads slot i's intention into the agent's one vote payload (see
+// Agent.vote) and returns it for pushing.
+func (a *Agent) voteFor(i int) *Vote {
+	a.vote.Value = a.intentions[i].H
+	a.vote.Index = int32(i)
+	return &a.vote
+}
+
 // finalizeOwnCertificate computes kᵤ and CEᵤ from the collected votes; it
 // runs once, at the first Find-Min round. The certificate aliases a.w, which
-// is append-only during Voting and frozen afterwards, so no copy is needed.
+// is append-only during Voting and frozen afterwards, so no copy is needed;
+// sorting it in place publishes W in (voter, value) order, which lets every
+// verifier walk it without a sorted copy. K and Equal ignore W's order.
 func (a *Agent) finalizeOwnCertificate() {
+	sortWEntries(a.w)
 	a.ownCertBuf = Certificate{
 		P:     a.p,
 		K:     SumVotesMod(a.w, a.p.M),
@@ -393,7 +407,7 @@ func (a *Agent) verify() {
 		a.out = ColorBot
 		return
 	}
-	if err := verifyCertificate(&a.p, a.minCert, a.log, &a.vscratch); err != nil {
+	if err := verifyCertificate(&a.p, a.minCert, a.log); err != nil {
 		a.failNow()
 		a.out = ColorBot
 		return

@@ -105,6 +105,57 @@ func TestActSchedule(t *testing.T) {
 	}
 }
 
+// TestAgentVotePayload drives one agent through the Voting phase under the
+// baseline, retransmit (every pass) and live-retarget schedules, re-initialized
+// in place between them as a pool does. Every round pushes the agent's one
+// vote buffer, loaded with that round's slot: (intentions[i].H, i) and the
+// run's Params.
+func TestAgentVotePayload(t *testing.T) {
+	base := MustParams(32, 2, 2)
+	net := topo.NewComplete(base.N)
+	var a *Agent
+	for k, p := range []Params{
+		base,
+		withVariant(t, base, Protocol{Variant: ProtocolRetransmit, Passes: 3}),
+		withVariant(t, base, Protocol{Variant: ProtocolLiveRetarget}),
+	} {
+		if a == nil {
+			a = NewAgent(1, p, 0, net, rng.New(7))
+		} else {
+			a.reset(1, &p, 0, net, uint64(7+k))
+		}
+		q, passes := p.Q, p.votingPasses()
+		pushed := make([]int, q)
+		for r := 0; r < (1+passes)*q; r++ {
+			act := a.Act(r)
+			if p.PhaseOf(r) != PhaseVoting {
+				continue
+			}
+			i := (r - q) % q
+			v, ok := act.Payload.(*Vote)
+			if act.Kind != gossip.ActPush || !ok {
+				t.Fatalf("%s round %d: %v of %T, want a *Vote push", p.Proto.Variant, r, act.Kind, act.Payload)
+			}
+			if v != &a.vote {
+				t.Fatalf("%s round %d: pushed a payload other than the agent's vote buffer", p.Proto.Variant, r)
+			}
+			in := a.Intentions()[i]
+			if want := (Vote{P: p, Value: in.H, Index: int32(i)}); *v != want {
+				t.Fatalf("%s round %d: pushed %+v, want %+v", p.Proto.Variant, r, *v, want)
+			}
+			if p.Proto.Variant != ProtocolLiveRetarget && act.To != int(in.Z) {
+				t.Fatalf("%s round %d: pushed to %d, declared %d", p.Proto.Variant, r, act.To, in.Z)
+			}
+			pushed[i]++
+		}
+		for i, n := range pushed {
+			if n != passes {
+				t.Fatalf("%s: slot %d pushed %d times, want %d", p.Proto.Variant, i, n, passes)
+			}
+		}
+	}
+}
+
 func TestHandlePushCollectsVotes(t *testing.T) {
 	a := newTestAgent(t, 0, 16)
 	q := a.p.Q

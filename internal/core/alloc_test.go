@@ -112,7 +112,9 @@ func TestPooledRunSteadyStateAllocs(t *testing.T) {
 // TestAgentReinitSameParamsBoxesNothing pins the pooled-agent shortcut and
 // its guard from the inside: a re-init under unchanged Params allocates
 // nothing and leaves every Params-derived payload in step with the new
-// intentions, and a re-init under different Params rebuilds all of them.
+// intentions, and a re-init under different Params rebuilds all of them —
+// the one vote payload's Params among them (TestAgentVotePayload pins what
+// Act loads into it).
 func TestAgentReinitSameParamsBoxesNothing(t *testing.T) {
 	p := MustParams(64, 2, 2)
 	net := topo.NewComplete(p.N)
@@ -126,13 +128,14 @@ func TestAgentReinitSameParamsBoxesNothing(t *testing.T) {
 	}
 	check := func(p Params) {
 		t.Helper()
-		if a.Params() != p || len(a.intentions) != p.Q || len(a.voteMsgs) != p.Q {
-			t.Fatalf("agent holds %v with %d intentions, %d vote buffers; want %v", a.Params(), len(a.intentions), len(a.voteMsgs), p)
+		if a.Params() != p || len(a.intentions) != p.Q {
+			t.Fatalf("agent holds %v with %d intentions; want %v", a.Params(), len(a.intentions), p)
 		}
-		for i, v := range a.voteMsgs {
-			if want := (Vote{P: p, Value: a.intentions[i].H, Index: int32(i)}); v != want {
-				t.Fatalf("vote buffer %d = %+v, want %+v", i, v, want)
-			}
+		if a.vote.P != p {
+			t.Fatalf("vote payload carries %v, want %v", a.vote.P, p)
+		}
+		if cap(a.w) < wCap(p.Q) {
+			t.Fatalf("W reserved for %d votes, want ≥ %d", cap(a.w), wCap(p.Q))
 		}
 		in, ok := a.intentsMsg.(Intentions)
 		if !ok || in.P != p || len(in.Votes) != p.Q || &in.Votes[0] != &a.intentions[0] {

@@ -56,11 +56,13 @@ type AsyncAgent struct {
 	ownCert     *Certificate
 	minCert     *Certificate
 
-	// The sync agent's payload discipline (see Agent): voteMsgs[i] is the
-	// preallocated payload for intentions[i], pushed by pointer, and the
-	// queries and the intention answer are boxed once at construction, so an
-	// activation allocates nothing.
-	voteMsgs   []Vote
+	// The sync agent's payload discipline (see Agent): one vote payload,
+	// loaded with the activation's intention and pushed by pointer — the
+	// async engine carries a push right after the Act that made it, so the
+	// next activation may overwrite it — and the queries and the intention
+	// answer are boxed once at construction, so an activation allocates
+	// nothing.
+	vote       Vote
 	intentQ    gossip.Payload
 	certQ      gossip.Payload
 	intentsMsg gossip.Payload
@@ -77,11 +79,11 @@ func NewAsyncAgent(id int, p Params, color Color, net topo.Topology, r *rng.Sour
 	}
 	a := &AsyncAgent{id: id, p: p, color: color, r: r, net: net, log: NewCommitmentLog()}
 	a.intentions = make([]Intent, p.Q)
-	a.voteMsgs = make([]Vote, p.Q)
 	for i := range a.intentions {
 		a.intentions[i] = Intent{H: r.Uint64n(p.M) + 1, Z: int32(net.SamplePeer(id, r))}
-		a.voteMsgs[i] = Vote{P: p, Value: a.intentions[i].H}
 	}
+	a.vote = Vote{P: p}
+	a.w = make([]WEntry, 0, wCap(p.Q))
 	a.intentQ = IntentQuery{P: p}
 	a.certQ = CertQuery{P: p}
 	a.intentsMsg = Intentions{P: p, Votes: a.intentions}
@@ -142,7 +144,8 @@ func (a *AsyncAgent) Act(tick int) gossip.Action {
 		return gossip.PullFrom(a.net.SamplePeer(a.id, a.r), a.intentQ)
 	case asyncVoting:
 		i := step - a.p.Q
-		return gossip.PushTo(int(a.intentions[i].Z), &a.voteMsgs[i])
+		a.vote.Value = a.intentions[i].H
+		return gossip.PushTo(int(a.intentions[i].Z), &a.vote)
 	case asyncSettle:
 		return gossip.NoAction() // let in-flight phases drain
 	case asyncFindMin:
@@ -164,7 +167,9 @@ func (a *AsyncAgent) ensureCert() {
 		return
 	}
 	// a.w is frozen from here on (HandlePush drops votes once ownCert is
-	// set), so the certificate aliases it instead of copying.
+	// set), so the certificate aliases it instead of copying, sorted in place
+	// into the (voter, value) order verifiers walk without a copy.
+	sortWEntries(a.w)
 	a.ownCert = &Certificate{
 		P:     a.p,
 		K:     SumVotesMod(a.w, a.p.M),
@@ -261,7 +266,7 @@ func (a *AsyncAgent) verify() {
 		a.out = ColorBot
 		return
 	}
-	if err := verifyCertificate(&a.p, a.minCert, a.log, &verifyScratch{}); err != nil {
+	if err := verifyCertificate(&a.p, a.minCert, a.log); err != nil {
 		a.failed = true
 		a.out = ColorBot
 		return

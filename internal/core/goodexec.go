@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // GoodExecution reports whether an execution satisfied the three properties
 // of Definition 2, which Lemma 3 proves hold w.h.p. when at most αn agents
@@ -34,6 +37,14 @@ func (g GoodExecution) Good() bool {
 // deviating coalition members are excluded because Definition 5 restates the
 // properties for them separately.
 func CheckGoodExecution(p Params, agents []*Agent) GoodExecution {
+	var ks []uint64
+	return checkGoodExecution(&p, agents, &ks)
+}
+
+// checkGoodExecution is CheckGoodExecution with a caller-owned buffer for
+// the kᵤ values: property 2 is checked by sorting them and comparing
+// neighbours, so a pooled run (RunPool.ks) checks it without allocating.
+func checkGoodExecution(p *Params, agents []*Agent, ks *[]uint64) GoodExecution {
 	g := GoodExecution{
 		VoteLowerOK: true,
 		VoteUpperOK: true,
@@ -50,7 +61,7 @@ func CheckGoodExecution(p Params, agents []*Agent) GoodExecution {
 	lower := int(math.Floor(expected / 4))
 	upper := int(math.Ceil(expected * 4))
 
-	seenK := make(map[uint64]bool, len(agents))
+	kbuf := (*ks)[:0]
 	var ref *Certificate
 	for _, a := range agents {
 		nv := len(a.VotesReceived())
@@ -66,11 +77,7 @@ func CheckGoodExecution(p Params, agents []*Agent) GoodExecution {
 		if nv > upper {
 			g.VoteUpperOK = false
 		}
-		k := a.K()
-		if seenK[k] {
-			g.DistinctK = false
-		}
-		seenK[k] = true
+		kbuf = append(kbuf, a.K())
 		mc := a.MinCertificate()
 		if ref == nil {
 			ref = mc
@@ -80,5 +87,13 @@ func CheckGoodExecution(p Params, agents []*Agent) GoodExecution {
 			g.CertsAgree = false
 		}
 	}
+	slices.Sort(kbuf)
+	for i := 1; i < len(kbuf); i++ {
+		if kbuf[i] == kbuf[i-1] {
+			g.DistinctK = false
+			break
+		}
+	}
+	*ks = kbuf
 	return g
 }

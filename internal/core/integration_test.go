@@ -259,6 +259,39 @@ func TestCheckGoodExecutionEmpty(t *testing.T) {
 	}
 }
 
+// TestCheckGoodExecutionDistinctK holds the pooled sort-and-compare check of
+// property 2 to the set-membership rule it replaced. At n = 8 the vote space
+// is m = 512, so equal kᵤ values are common enough for both verdicts to occur.
+func TestCheckGoodExecutionDistinctK(t *testing.T) {
+	p := MustParams(8, 2, 1)
+	pool := &RunPool{}
+	verdicts := map[bool]int{}
+	for seed := uint64(1); seed <= 400; seed++ {
+		res, err := Run(RunConfig{Params: p, Colors: UniformColors(p.N, 2), Seed: seed, Workers: 1, Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[uint64]bool{}
+		want := true
+		for _, a := range res.Agents {
+			if seen[a.K()] {
+				want = false
+			}
+			seen[a.K()] = true
+		}
+		if res.Good.DistinctK != want {
+			t.Fatalf("seed %d: pooled DistinctK = %v, set rule says %v", seed, res.Good.DistinctK, want)
+		}
+		if g := CheckGoodExecution(p, res.Agents); g != res.Good {
+			t.Fatalf("seed %d: CheckGoodExecution = %+v, pooled run reported %+v", seed, g, res.Good)
+		}
+		verdicts[want]++
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("verdicts %v: the seeds do not exercise both outcomes", verdicts)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	p := MustParams(8, 2, 1)
 	if _, err := Run(RunConfig{Params: p, Colors: make([]Color, 3)}); err == nil {

@@ -70,7 +70,7 @@ const (
 	// ProtocolRetransmit keeps bindings strict but sends every vote Passes
 	// times: the Voting phase becomes Passes sub-phases of q rounds, and pass
 	// p re-pushes vote i (same value, same declared target) at round
-	// q + p·q + i. The preallocated vote buffer is the bounded outbox and
+	// q + p·q + i. The intention list is the bounded outbox and
 	// Passes is the per-item TTL, after which the item silently expires —
 	// the SNIPPETS median-counter shape. Receivers dedup redeliveries by
 	// (voter, slot), so W and strict verification are unchanged in the
@@ -106,9 +106,12 @@ type Protocol struct {
 //
 // Params is a comparable value of 14 words (112 bytes on 64-bit). It travels
 // by value at API boundaries (NewParams, RunConfig, NewAgent) and inside
-// payloads, where a copy per run or per agent is free and value semantics
-// keep published payloads immutable. Anything called per message reads it
-// through a pointer instead — the agents' &a.p, the unexported
+// payloads, where value semantics keep published payloads immutable. A copy
+// per run or per agent is cheap; a copy per vote slot is not (q 128-byte
+// votes outweigh the rest of an agent), so an agent holds one payload of
+// each kind — its vote, two queries, its intention answer, its certificate —
+// and reloads its one vote every Voting round. Anything called per message
+// reads it through a pointer instead — the agents' &a.p, the unexported
 // pointer-receiver lookups below, validDeclarationFor, verifyCertificate —
 // because at O(1) messages per node-round a by-value receiver or argument is
 // a 112-byte copy per message, and the per-message work is little more than

@@ -46,9 +46,12 @@ func (in Intentions) SizeBits() int {
 
 // Vote is the payload pushed during the Voting phase: a single value in
 // [1, m]. The voter identity is supplied by the secure channel, not the
-// payload. Honest agents push *Vote pointers into per-agent preallocated
-// buffers (interface-boxing a pointer is allocation-free); handlers accept
-// both Vote and *Vote so hand-built payloads keep working.
+// payload. An honest agent holds one Vote: each Voting round it loads the
+// round's intention (Value and Index) and pushes a pointer to it
+// (interface-boxing a pointer is allocation-free). That is safe because every
+// engine settles a push within the round it was sent in, before the sender's
+// next Act, and receivers copy what they keep out of it. Handlers accept both
+// Vote and *Vote so hand-built payloads keep working.
 type Vote struct {
 	P     Params
 	Value uint64
@@ -98,6 +101,10 @@ type WEntry struct {
 // instead of deep-copying — the Find-Min hot path allocates nothing — so any
 // agent, honest or deviating, that wants to send different data must build a
 // new Certificate rather than mutate one it already published.
+//
+// An honest owner publishes W in (voter, value) order, so verifiers walk it
+// in place; W's order is otherwise free (K, Equal and the wire size ignore
+// it), and a verifier sorts a copy of an unordered W.
 type Certificate struct {
 	P     Params
 	K     uint64
@@ -152,23 +159,24 @@ func (c *Certificate) Equal(o *Certificate) bool {
 	return true
 }
 
+// cmpWEntries orders entries by (voter, value).
+func cmpWEntries(a, b WEntry) int {
+	if a.Voter != b.Voter {
+		return int(a.Voter) - int(b.Voter)
+	}
+	switch {
+	case a.Value < b.Value:
+		return -1
+	case a.Value > b.Value:
+		return 1
+	default:
+		return 0
+	}
+}
+
 // sortWEntries orders entries by (voter, value). slices.SortFunc is
 // non-reflective and allocation-free, unlike the sort.Slice call it replaced.
-func sortWEntries(w []WEntry) {
-	slices.SortFunc(w, func(a, b WEntry) int {
-		if a.Voter != b.Voter {
-			return int(a.Voter) - int(b.Voter)
-		}
-		switch {
-		case a.Value < b.Value:
-			return -1
-		case a.Value > b.Value:
-			return 1
-		default:
-			return 0
-		}
-	})
-}
+func sortWEntries(w []WEntry) { slices.SortFunc(w, cmpWEntries) }
 
 // Clone returns a deep copy. The honest adopt path no longer needs it —
 // published certificates are immutable and adopted by pointer — but it

@@ -29,6 +29,7 @@ type RunPool struct {
 	counters metrics.Counters
 	droprng  rng.Source // keys the message-loss decisions, reseeded per lossy run
 	mem      gossip.EngineMem
+	ks       []uint64 // the good-execution check's kᵤ values
 	setup    RunSetup // the run in progress; PrepareRun returns a pointer to it
 }
 

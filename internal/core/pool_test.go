@@ -25,7 +25,7 @@ func agentsDigest(agents []*Agent) string {
 }
 
 // TestRunPoolParamsSwitchMatchesFreshRun guards the pooled-agent shortcut: an
-// agent re-run under the Params of its previous run keeps its vote buffers'
+// agent re-run under the Params of its previous run keeps its vote payload's
 // P and its boxed payloads, so the one way to get it wrong is a pool reused
 // under different Params carrying the old ones along. Each pair runs A, B, A
 // through one pool and requires every run — result, agent state and trace —

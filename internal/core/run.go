@@ -212,7 +212,7 @@ func (s *RunSetup) Result(rounds int) RunResult {
 		Outcome: CollectOutcome(pl.parts, excluded),
 		Rounds:  rounds,
 		Metrics: pl.counters.Snapshot(),
-		Good:    CheckGoodExecution(cfg.Params, pl.reliable),
+		Good:    checkGoodExecution(&cfg.Params, pl.reliable, &pl.ks),
 		Agents:  pl.honest,
 	}
 }

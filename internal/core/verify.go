@@ -206,17 +206,15 @@ var (
 // A nil error means the verifier supports cert.Color; any error means the
 // verifier makes the protocol fail.
 func VerifyCertificate(p Params, cert *Certificate, log *CommitmentLog) error {
-	return verifyCertificate(&p, cert, log, &verifyScratch{})
+	return verifyCertificate(&p, cert, log)
 }
 
-// verifyScratch holds the two buffers verification needs, so pooled agents
-// verify without allocating.
-type verifyScratch struct {
-	w   []WEntry
-	exp []uint64
-}
+// expStack is how many expected values verification sorts on the stack; a
+// declaration holds exactly q of them, and q ≤ 64 up to n = 2²¹ at the
+// default γ. A longer expectation spills to the heap and stays correct.
+const expStack = 64
 
-func verifyCertificate(p *Params, cert *Certificate, log *CommitmentLog, sc *verifyScratch) error {
+func verifyCertificate(p *Params, cert *Certificate, log *CommitmentLog) error {
 	if cert == nil {
 		return ErrNoCertificate
 	}
@@ -241,17 +239,22 @@ func verifyCertificate(p *Params, cert *Certificate, log *CommitmentLog, sc *ver
 		return fmt.Errorf("verify: k = %d but ΣW mod m = %d", cert.K, got)
 	}
 
-	// Group W's values by voter: sort a copy by (voter, value) and walk the
-	// runs. The sorted copy and the expectation buffer both come from the
-	// caller's scratch, so a pooled verifier allocates nothing here.
+	// Group W's values by voter: walk the (voter, value)-ordered entries in
+	// runs. An honest owner publishes W in that order, so W is read in place;
+	// only an unordered W (a deviator's) is sorted, into a fresh copy, since
+	// published certificates are immutable. The expectation buffer lives on
+	// the stack, so verifying an honest certificate allocates nothing.
 	// ProtocolRelaxed tallies violating voters instead of rejecting on the
 	// first one; the count does not depend on the order voters are visited in.
 	retarget := p.Proto.Variant == ProtocolLiveRetarget
 	relaxed := p.Proto.Variant == ProtocolRelaxed
 	violations := 0
-	w := append(sc.w[:0], cert.W...)
-	sc.w = w
-	sortWEntries(w)
+	w := cert.W
+	if !slices.IsSortedFunc(w, cmpWEntries) {
+		w = slices.Clone(w)
+		sortWEntries(w)
+	}
+	var expBuf [expStack]uint64
 	for i := 0; i < len(w); {
 		voter := w[i].Voter
 		j := i
@@ -259,15 +262,12 @@ func verifyCertificate(p *Params, cert *Certificate, log *CommitmentLog, sc *ver
 			j++
 		}
 		if intents, known := log.lookup(voter); known {
-			// Run values are ascending (sortWEntries orders by value within a
-			// voter), matching the sorted expectation list.
+			// Run values are ascending, matching the sorted expectation list.
 			var ok bool
 			if retarget {
-				sc.exp = appendValues(sc.exp[:0], intents)
-				ok = runSubsetSorted(w[i:j], sc.exp)
+				ok = runSubsetSorted(w[i:j], appendValues(expBuf[:0], intents))
 			} else {
-				sc.exp = appendVotesFor(sc.exp[:0], intents, cert.Owner)
-				ok = runEqualsSorted(w[i:j], sc.exp)
+				ok = runEqualsSorted(w[i:j], appendVotesFor(expBuf[:0], intents, cert.Owner))
 			}
 			if !ok {
 				if !relaxed {

@@ -148,7 +148,7 @@ func TestProtocolTranscriptDeterministicAcrossWorkers(t *testing.T) {
 
 // TestRetransmitTrialsAllocBudget pins the retransmit batch path to the same
 // absolute allocation budget as the default hot path (TestTrialsAllocBudget):
-// the extra TTL·q redelivery rounds reuse the preallocated vote messages and
+// the extra TTL·q redelivery rounds reuse each agent's one vote payload and
 // the dedup set is an amortized flat slice, so a warmed batch must not
 // allocate per pass, per redelivery, or per dedup probe.
 func TestRetransmitTrialsAllocBudget(t *testing.T) {
