@@ -119,7 +119,9 @@
 // as length-prefixed binary frames. Because the protocol's correctness
 // barrier is the round, not the message, the scheduler dispatches each
 // round's deliveries as pipelined waves — lossy rounds and fault-injected
-// rungs included; there is no per-message path — and the socket rungs
+// rungs included; there is no per-message path, and a jittered message
+// carries its delay in the wave for the receiving host to honour — and the
+// socket rungs
 // coalesce all same-peer messages of a wave into one multi-message frame
 // answered by a single bitmap ack — a handful of syscalls per round instead
 // of a synchronous write→ack round trip per message, with per-destination

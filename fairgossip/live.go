@@ -29,9 +29,15 @@ type LiveOptions struct {
 	// scenario's own loss) and of the message — its round, endpoints and
 	// kind — so lossy live runs repeat bit-for-bit.
 	TransportDrop float64
-	// Jitter delays each delivered message by a uniform [0, Jitter) amount,
-	// spreading the latency distribution; 0 keeps the in-process transport's
-	// native latency.
+	// Jitter gives each delivered message a link delay drawn uniform in
+	// [0, Jitter) from the seed, spreading the latency distribution; 0 keeps
+	// the transport's native latency. The delay runs from the send stamp
+	// of the message's round wave: the receiving host handles the message no
+	// earlier than that stamp plus the delay, and a round waits for about
+	// its largest delay. A message is never handled ahead of one queued
+	// before it for the same host, so its measured latency can exceed its
+	// delay by such a wait, and the host's timer granularity is a floor
+	// under any delay. Outcomes do not depend on Jitter.
 	Jitter time.Duration
 	// Mailbox is the per-node mailbox capacity: a host goroutine's queue
 	// accepts Mailbox unhandled messages per node it serves before sends to it

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/gossip"
@@ -12,64 +13,50 @@ import (
 
 // Conduit is the pluggable transport between the scheduler and a node's
 // mailbox. The protocol logic never sees it: swapping the transport — for a
-// lossy one, a delaying one, eventually a socket-backed one — changes how
-// messages travel, never what they mean.
+// lossy one, a delaying one, a socket-backed one — changes how messages
+// travel, never what they mean.
 //
-// Deliver carries one payload message into dst's mailbox, blocking while
-// the mailbox is full (the runtime's backpressure). It reports whether the
-// message survived transport: false means the conduit dropped it before it
-// reached dst (dst is untouched), and the scheduler then applies the same
-// loss semantics the simulator's FaultModel.Drop produces — a lost push, a
-// failed pull. Delivery to a node that has shut down also reports false.
+// The coordinator drives every round through a Batch from NewBatch; Deliver
+// carries one message into dst's mailbox, blocking while it is full (the
+// runtime's backpressure). Deliver reports whether the message survived
+// transport: false means the conduit dropped it before it reached dst (dst is
+// untouched, and the scheduler applies the loss semantics of the simulator's
+// FaultModel.Drop — a lost push, a failed pull), or that dst has shut down. A
+// conduit delays a message by setting its Delay, never by holding it: the
+// receiving host honours the due time.
 //
-// Concurrency contract: implementations must be safe for concurrent Deliver
-// calls. The coordinator drives a conduit from one goroutine, through a Batch,
-// but it is not the only caller: the socket transport lands deliveries from
-// listener goroutines, and tests and external schedulers overlap Delivers
-// freely — so a conduit may never assume callers serialize it. Seed-derived
-// randomness therefore has to be a keyed decision about the message
-// (gossip.Loss), never a draw from a shared stream: the answer must not
-// depend on which caller asked first.
+// Concurrency contract: Deliver must be safe for concurrent calls, beside
+// batches too: the socket transport lands deliveries from listener
+// goroutines, and tests and external schedulers overlap them freely.
+// Seed-derived randomness therefore has to be a keyed decision about the
+// message (gossip.Loss), never a draw from a shared stream.
 //
 // A Conduit that holds transport resources may additionally implement
 // io.Closer; Runtime.Shutdown closes it after every host goroutine has
 // exited.
 type Conduit interface {
 	Deliver(dst *Node, m Message) bool
-}
-
-// BatchConduit is the round-batched seam of the transport: a conduit that
-// can accept a whole delivery wave without blocking per message. The
-// coordinator pipelines every round through a Batch — dispatch every delivery
-// of one phase, then settle all results at the round barrier — so a conduit
-// that can coalesce a wave (the socket transport's multi-message frames)
-// implements it; one that cannot is driven through the same seam by an
-// adapter whose Add is Deliver (see newBatch).
-//
-// The protocol's correctness barrier is the round, not the message, so the
-// only ordering a batch must preserve is per destination: messages Added for
-// the same node must enter its mailbox in Add order (the simulator delivers
-// in ascending sender order, and vote multisets, certificate W-entry order,
-// and trace bytes all depend on it). Cross-destination interleaving is free.
-type BatchConduit interface {
-	Conduit
-	// NewBatch returns an empty, reusable delivery batch. A batch is owned
-	// by one goroutine (the coordinator) and is not safe for concurrent use;
-	// the conduit itself must still honor Deliver's concurrency contract.
+	// NewBatch returns an empty, reusable delivery batch, owned by one
+	// goroutine (the coordinator) and not safe for concurrent use.
 	NewBatch() Batch
 }
+
+// BatchConduit is an alias of Conduit, for callers that still name it.
+type BatchConduit = Conduit
 
 // Batch collects one wave of deliveries. Add enqueues without waiting for
 // the result; Flush forces everything onto the wire and blocks until every
 // added delivery has resolved — mailbox-accepted (true) or lost in transport
 // (false) — returning the results in Add order. The returned slice is valid
 // until the next Add or Flush; the batch is empty and reusable afterwards.
+// Add may block on mailbox backpressure, but never waits for a transport
+// acknowledgement: that is what Flush settles in bulk.
 //
-// Add may still block on destination-mailbox backpressure (the channel
-// transport when it hands a chunk to a full host queue; the socket
-// transport's server blocks the connection, not the caller) — what it never
-// does is wait for a transport acknowledgement, which is what Flush settles
-// in bulk.
+// The protocol's correctness barrier is the round, not the message, so the
+// only order a batch must keep is per destination: messages Added for one
+// node enter its mailbox in Add order, the simulator's ascending sender order
+// that vote multisets, certificate W-entry order and trace bytes rest on.
+// Cross-destination interleaving is free.
 type Batch interface {
 	Add(dst *Node, m Message)
 	Flush() []bool
@@ -84,7 +71,7 @@ type ChannelConduit struct{}
 // Deliver hands the message straight to the destination node.
 func (ChannelConduit) Deliver(dst *Node, m Message) bool { return dst.Send(m) }
 
-// NewBatch implements BatchConduit: the returned batch hands a wave to the
+// NewBatch implements Conduit: the returned batch hands a wave to the
 // hosts in per-host chunks (see handOver) — one lock per chunk instead of one
 // Send per message.
 func (ChannelConduit) NewBatch() Batch { return &handOver{} }
@@ -128,7 +115,10 @@ func (b *handOver) Add(dst *Node, m Message) {
 		b.give(st)
 		st.h = h
 	}
-	st.msgs = append(st.msgs, hostMsg{dst, m})
+	// In place: amd64 copies an 80-byte hostMsg literal by runtime.duffcopy.
+	k := len(st.msgs)
+	st.msgs = slices.Grow(st.msgs, 1)[:k+1]
+	st.msgs[k].n, st.msgs[k].m = dst, m
 	st.idxs = append(st.idxs, int32(len(b.results)))
 	b.results = append(b.results, true)
 	if len(st.msgs) == handOverChunk {
@@ -156,35 +146,6 @@ func (b *handOver) Flush() []bool {
 	return r
 }
 
-// deliverBatch adapts a plain Conduit to the batch seam: each Add is one
-// Deliver, its result recorded in Add order. Nothing is coalesced, so what
-// the seam buys such a conduit is exactly the pipelining — the coordinator
-// does not wait for the node between deliveries, and node handlers overlap
-// with the rest of the wave's dispatch.
-type deliverBatch struct {
-	c       Conduit
-	results []bool
-}
-
-func (b *deliverBatch) Add(dst *Node, m Message) {
-	b.results = append(b.results, b.c.Deliver(dst, m))
-}
-
-func (b *deliverBatch) Flush() []bool {
-	r := b.results
-	b.results = b.results[:0]
-	return r
-}
-
-// newBatch returns the batch the coordinator drives c through: the conduit's
-// own when it has the seam, the Deliver adapter otherwise.
-func newBatch(c Conduit) Batch {
-	if bc, ok := c.(BatchConduit); ok {
-		return bc.NewBatch()
-	}
-	return &deliverBatch{c: c}
-}
-
 // conduitStreamSalt separates a FaultConduit's transport decisions from every
 // other use of a run seed — in particular from the scenario-level loss
 // decisions (core's dropStreamSalt), which the simulator shares.
@@ -197,13 +158,13 @@ const legJitter = gossip.Leg(msgKinds)
 // FaultConduit layers seed-derived per-message drop and latency jitter on
 // top of an inner transport. Drops reuse the simulator's FaultModel.Drop
 // observation model (the sender has paid, the receiver sees silence); jitter
-// delays each delivery by a uniform [0, Jitter) sleep, turning the latency
-// distribution from a point mass into something worth measuring. Both are
-// keyed decisions (gossip.Loss under the conduit's own salt) about the
-// message's (round, sender, receiver, kind), so the conduit holds no state a
-// delivery could change: a faulty transport is exactly as reproducible as a
-// clean one, from any number of concurrent callers, through Deliver or
-// through a batch.
+// gives each delivery a uniform [0, Jitter) link delay, its Message.Delay,
+// turning the latency distribution from a point mass into something worth
+// measuring. Both are keyed decisions (gossip.Loss under the conduit's own
+// salt) about the message's (round, sender, receiver, kind), so the conduit
+// holds no state a delivery could change: a faulty transport is exactly as
+// reproducible as a clean one, from any number of concurrent callers, through
+// Deliver or through a batch.
 type FaultConduit struct {
 	inner  Conduit
 	fate   gossip.Loss
@@ -232,11 +193,9 @@ func NewFaultConduit(inner Conduit, seed uint64, drop float64, jitter time.Durat
 }
 
 // admit decides one message's fate: false means the transport dropped it;
-// otherwise it has slept the message's jitter. A message a node addresses to
-// itself is local — it rides a wave only for mailbox order — and passes
-// untouched. The sleep is this message's link delay, not time spent queued
-// behind earlier messages' delays, so a timed message is re-stamped as it
-// enters the link.
+// otherwise the message's link delay is added to its Delay. A message a node
+// addresses to itself is local — it rides a wave only for mailbox order — and
+// passes untouched.
 func (c *FaultConduit) admit(dst *Node, m *Message) bool {
 	if m.From == dst.id {
 		return true
@@ -246,11 +205,8 @@ func (c *FaultConduit) admit(dst *Node, m *Message) bool {
 		return false
 	}
 	if c.jitter > 0 {
-		if !m.SentAt.IsZero() {
-			m.SentAt = time.Now()
-		}
 		delay, _ := bits.Mul64(c.fate.Bits(m.Round, m.From, dst.id, leg+legJitter), uint64(c.jitter))
-		time.Sleep(time.Duration(delay))
+		m.Delay += time.Duration(delay)
 	}
 	return true
 }
@@ -260,17 +216,10 @@ func (c *FaultConduit) Deliver(dst *Node, m Message) bool {
 	return c.admit(dst, &m) && c.inner.Deliver(dst, m)
 }
 
-// NewBatch implements BatchConduit by decorating the inner transport's batch:
-// a dropped message never reaches it, and Flush folds the inner results back
-// into Add order. With jitter, each Add sleeps its message's delay on the
-// dispatching goroutine, so an inner batch that stages messages would count
-// the later messages' delays as this one's latency; such a wave is delivered
-// one Deliver at a time instead, each message as soon as its own delay is over.
+// NewBatch decorates the inner transport's batch: a dropped message never
+// reaches it, and Flush folds the inner results back into Add order.
 func (c *FaultConduit) NewBatch() Batch {
-	if c.jitter > 0 {
-		return &deliverBatch{c: c}
-	}
-	return &faultBatch{c: c, inner: newBatch(c.inner)}
+	return &faultBatch{c: c, inner: c.inner.NewBatch()}
 }
 
 // faultBatch is one wave through a FaultConduit. fates holds, per Add, whether

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	stdruntime "runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/runtime"
@@ -152,16 +153,35 @@ func TestRuntimeTranscriptEquivalence(t *testing.T) {
 	}
 }
 
-// deliverOnly hides a conduit's batch seam: what is left is a serial
-// transport, one Deliver per message, which the coordinator drives through
-// its Add = Deliver adapter.
+// deliverOnly drives a conduit the serial way: its batch's Add is one
+// Deliver, a synchronous send per message, so nothing is staged or coalesced
+// and each delivery's result is known before the next is added.
 type deliverOnly struct{ runtime.Conduit }
+
+// NewBatch overrides the wrapped conduit's own batch.
+func (c deliverOnly) NewBatch() runtime.Batch { return &serialBatch{c: c.Conduit} }
+
+// serialBatch is deliverOnly's batch: Add delivers, Flush returns the results.
+type serialBatch struct {
+	c   runtime.Conduit
+	oks []bool
+}
+
+func (b *serialBatch) Add(dst *runtime.Node, m runtime.Message) {
+	b.oks = append(b.oks, b.c.Deliver(dst, m))
+}
+
+func (b *serialBatch) Flush() []bool {
+	oks := b.oks
+	b.oks = b.oks[:0]
+	return oks
+}
 
 // TestBarrierStress drives the atomic round barrier through the schedules
 // that could lose a wake-up or read a result slot early: one, two, and eight
 // Ps; capacity-1 mailboxes (the coordinator's Send parks mid-wave) and the
-// default; a conduit's own batch (ChannelConduit) and the adapter over a
-// serial, Deliver-only conduit. Every cell must reproduce the
+// default; a conduit's own batch (ChannelConduit) and a serial batch whose
+// every Add is one Deliver. Every cell must reproduce the
 // simulator's transcript and result byte for byte over 20 seeds — a lost
 // wake-up hangs, an early read diverges, and under -race either is reported
 // at its source. CI also runs it by name with -cpu 1,2,8.
@@ -224,22 +244,26 @@ func TestBarrierStress(t *testing.T) {
 }
 
 // TestFaultConduitPaths pins that a fault-injecting transport's decisions
-// belong to the messages, not to the path that carried them: with transport
-// drop over the channel and over a unix socket, two same-seed runs are
-// byte-identical, and a run that reaches the fault layer one Deliver at a time
-// drops exactly what a run through its batch drops.
+// belong to the messages, not to the path that carried them or to the time
+// they took: with transport drop over the channel and over a unix socket, two
+// same-seed runs are byte-identical, a run that reaches the fault layer one
+// Deliver at a time drops exactly what a run through its batch drops, and
+// jitter — a due time the receiving host honours, carried across the socket
+// in the frame — changes neither transcript nor result, whichever path the
+// delayed messages take. Same transcripts under delays pin per-destination
+// FIFO: a reordered vote or reply would move a byte.
 func TestFaultConduitPaths(t *testing.T) {
-	const seed, drop = 5, 0.05
+	const seed, drop, jitter = 5, 0.05, 100 * time.Microsecond
 	for _, network := range []string{"channel", "unix"} {
 		t.Run(network, func(t *testing.T) {
-			fault := func() runtime.Conduit {
+			fault := func(jitter time.Duration) runtime.Conduit {
 				var inner runtime.Conduit
 				if network != "channel" {
 					inner = socketConduit(t, network)
 				}
-				return runtime.NewFaultConduit(inner, seed, drop, 0)
+				return runtime.NewFaultConduit(inner, seed, drop, jitter)
 			}
-			res, tr := runtimeRun(t, "baseline", seed, runtime.Options{Conduit: fault()})
+			res, tr := runtimeRun(t, "baseline", seed, runtime.Options{Conduit: fault(0)})
 			res.Agents = nil
 			if bytes.Count(tr, []byte("lost\n")) == 0 {
 				t.Fatal("the transport dropped nothing — the comparison proves nothing")
@@ -248,8 +272,10 @@ func TestFaultConduitPaths(t *testing.T) {
 				name    string
 				conduit runtime.Conduit
 			}{
-				{"second batched run", fault()},
-				{"Deliver-only run", deliverOnly{fault()}},
+				{"second batched run", fault(0)},
+				{"Deliver-only run", deliverOnly{fault(0)}},
+				{"jittered batched run", fault(jitter)},
+				{"jittered Deliver-only run", deliverOnly{fault(jitter)}},
 			} {
 				res2, tr2 := runtimeRun(t, "baseline", seed, runtime.Options{Conduit: again.conduit})
 				res2.Agents = nil

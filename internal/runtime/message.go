@@ -56,11 +56,14 @@ type Message struct {
 	Round   int
 	From    int
 	Payload gossip.Payload
-	// SentAt is stamped when the message enters the conduit; zero for
-	// scheduler-internal traffic. Delivery latency runs from it to the clock
-	// reading the receiving node's host takes at the start of the batch
-	// that handles the message.
+	// SentAt is stamped when the message enters the conduit, one reading
+	// per wave; zero for scheduler-internal traffic. Latency runs from it to
+	// the receiving host's clock reading for the message (see Node.handle).
 	SentAt time.Time
+	// Delay is the link delay a transport gave the message (FaultConduit's
+	// jitter): its host handles it no earlier than SentAt + Delay, nor before
+	// an entry queued ahead of it (see host). Unstamped, it is not held.
+	Delay time.Duration
 }
 
 // kindOf maps an operation's first crossing to its message kind: a pull's

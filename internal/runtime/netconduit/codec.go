@@ -5,8 +5,8 @@
 // transcript stays byte-identical to the simulator's (pinned by the
 // equivalence suite in internal/runtime). The conduit is a loopback: it
 // dials only its own listener, over one outbound connection. It has one
-// delivery path, the batch (runtime.BatchConduit): the coordinator stages a
-// whole delivery wave and the conduit coalesces the messages of a flush into
+// delivery path, the batch (NewBatch): the coordinator stages a whole
+// delivery wave and the conduit coalesces the messages of a flush into
 // multi-message frames — one write, one bitmap ack — with a window of
 // in-flight frames settled at the barrier. Deliver is a batch of one.
 //
@@ -22,7 +22,8 @@
 // where one message body is
 //
 //	kind byte | flags byte | round uvarint | from uvarint | to uvarint |
-//	[sent-at ticks varint, if flags&1] | payload
+//	[sent-at ticks varint, if flags&1] | [delay ns varint, if flags&2] |
+//	payload
 //
 // A batch frame carries the bodies of a flush's messages back to back, in
 // delivery order, each a runtime.Message for the node with index
@@ -36,7 +37,8 @@
 // an earlier generation; nothing speaks them any more, and like every unknown
 // type they are connection-fatal. SentAt crosses the wire as monotonic ticks
 // relative to the conduit's epoch, which sender and receiver share: they are
-// the same conduit.
+// the same conduit; so does Delay, in nanoseconds. Any other flag bit is
+// malformed: it cannot come from a newer peer, only from garbage.
 //
 // The encoding is versioned (batchVersion) and covers exactly the
 // concrete gossip.Payload types the protocol produces, tagged:
@@ -134,8 +136,8 @@ const (
 	payCertificate
 )
 
-// flagSentAt marks a message body that carries a SentAt timestamp.
-const flagSentAt byte = 1
+// Message body flags: a SentAt timestamp follows, a Delay follows.
+const flagSentAt, flagDelay byte = 1, 2
 
 // errCodec is the class every malformed-frame failure belongs to.
 var errCodec = errors.New("netconduit: malformed frame")
@@ -561,12 +563,18 @@ func appendMessageBody(b []byte, to int, m runtime.Message, epoch time.Time, mem
 	if !m.SentAt.IsZero() {
 		flags |= flagSentAt
 	}
+	if m.Delay != 0 {
+		flags |= flagDelay
+	}
 	b = append(b, flags)
 	b = binary.AppendUvarint(b, uint64(m.Round))
 	b = binary.AppendUvarint(b, uint64(m.From))
 	b = binary.AppendUvarint(b, uint64(to))
 	if flags&flagSentAt != 0 {
 		b = binary.AppendVarint(b, int64(m.SentAt.Sub(epoch)))
+	}
+	if flags&flagDelay != 0 {
+		b = binary.AppendVarint(b, int64(m.Delay))
 	}
 	return appendPayload(b, m.Payload, memo)
 }
@@ -576,11 +584,17 @@ func appendMessageBody(b []byte, to int, m runtime.Message, epoch time.Time, mem
 func readMessageBody(r *reader, epoch time.Time, cache *decodeCache) (to int, m runtime.Message, err error) {
 	m.Kind = runtime.MsgKind(r.byte())
 	flags := r.byte()
+	if flags&^(flagSentAt|flagDelay) != 0 {
+		return 0, m, codecErr("unknown message flags %#x", flags)
+	}
 	m.Round = int(r.uvarint())
 	m.From = int(r.uvarint())
 	to = int(r.uvarint())
 	if flags&flagSentAt != 0 {
 		m.SentAt = epoch.Add(time.Duration(r.varint()))
+	}
+	if flags&flagDelay != 0 {
+		m.Delay = time.Duration(r.varint())
 	}
 	if r.bad {
 		return 0, m, codecErr("truncated message header")

@@ -258,6 +258,32 @@ func TestCodecSentAtTicks(t *testing.T) {
 	}
 }
 
+// TestCodecDelay pins the link delay on the wire: it crosses to the
+// nanosecond beside a SentAt and without one, and a message with none
+// writes neither the flag nor the field.
+func TestCodecDelay(t *testing.T) {
+	p := testParams(t)
+	epoch := time.Now()
+	m := runtime.Message{Kind: runtime.MsgPush, Round: 2, From: 3, Payload: core.IntentQuery{P: p}}
+	plain := encodeOne(t, 1, 4, m, epoch)
+	for _, sentAt := range []time.Time{{}, epoch.Add(time.Millisecond)} {
+		m.SentAt = sentAt
+		for _, delay := range []time.Duration{1, 37 * time.Microsecond, 10 * time.Second} {
+			m.Delay = delay
+			_, _, got, err := decodeOne(encodeOne(t, 1, 4, m, epoch), epoch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Delay != delay || !got.SentAt.Equal(sentAt) {
+				t.Fatalf("delay %v sent at %v decoded as %v at %v", delay, sentAt, got.Delay, got.SentAt)
+			}
+		}
+	}
+	if flags := plain[4]; flags&flagDelay != 0 {
+		t.Fatalf("a message with no delay carries flags %#x", flags)
+	}
+}
+
 // TestCodecParamsCache pins the per-connection Params memoization and the
 // once-per-frame rule: the second decode of the same block returns the cached
 // value, the encoder writes the marker for a repeat in the same frame, and the
@@ -499,7 +525,15 @@ func malformedBatchBodies(t testing.TB) map[string][]byte {
 		"leading marker":   leadingMarkerBody(t),
 		"trailing bytes":   append(append([]byte{}, body...), 0xAA),
 		"bad payload tag":  append(append([]byte{}, body[:voteHeaderLen]...), 0x7F),
+		"unknown flag bit": withFlags(body, 1<<2),
 	}
+}
+
+// withFlags is body (voteBody's layout) with its flags byte replaced.
+func withFlags(body []byte, flags byte) []byte {
+	b := append([]byte{}, body...)
+	b[4] = flags
+	return b
 }
 
 // TestCodecRejectsHugeCounts pins the allocation guard: a garbage list count
@@ -657,7 +691,7 @@ func FuzzDecodeBatchAck(f *testing.F) {
 // the bytes: the encoder may write a Params marker where the input spelled
 // the block out. Seeds: the malformed-frame and overrun-count tables, one
 // valid frame carrying every payload shape, one switching Params mid-frame,
-// and one repeating a certificate and an intention list — the decoder's
+// one with link delays beside a SentAt and without one, and one repeating a certificate and an intention list — the decoder's
 // interned path — with a copy whose last Owner differs in one byte.
 func FuzzReadBatch(f *testing.F) {
 	for _, b := range malformedBatchBodies(f) {
@@ -679,6 +713,11 @@ func FuzzReadBatch(f *testing.F) {
 	f.Add(encodeBatch(f, 9, tos, ms, epoch))
 	slices.Reverse(ms)
 	f.Add(encodeBatch(f, 10, tos, ms, epoch))
+	delayed := []runtime.Message{
+		{Kind: runtime.MsgPush, Round: 1, From: 2, Payload: ms[0].Payload, SentAt: epoch.Add(time.Millisecond), Delay: 150 * time.Microsecond},
+		{Kind: runtime.MsgReply, Round: 1, From: 3, Payload: nil, Delay: time.Second},
+	}
+	f.Add(encodeBatch(f, 11, []int{4, 5}, delayed, epoch))
 	cert, in, _ := internPayloads(f)
 	repeats := framed(f, cert, in, in, cert)
 	f.Add(repeats)
@@ -716,7 +755,7 @@ func FuzzReadBatch(f *testing.F) {
 // and payload. Payloads compare through %#v rather than reflect.DeepEqual
 // because NewParams admits a NaN gamma, and NaN != NaN.
 func sameMessage(a, b runtime.Message, epoch time.Time) bool {
-	return a.Kind == b.Kind && a.Round == b.Round && a.From == b.From &&
+	return a.Kind == b.Kind && a.Round == b.Round && a.From == b.From && a.Delay == b.Delay &&
 		a.SentAt.IsZero() == b.SentAt.IsZero() &&
 		(a.SentAt.IsZero() || a.SentAt.Sub(epoch) == b.SentAt.Sub(epoch)) &&
 		fmt.Sprintf("%#v", a.Payload) == fmt.Sprintf("%#v", b.Payload)

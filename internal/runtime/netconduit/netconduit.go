@@ -437,7 +437,7 @@ func (c *SocketConduit) kill(pc *peerConn) {
 // approaches MaxFrame and the server's decode stays cache-friendly.
 const defaultBatchBytes = 32 << 10
 
-// NewBatch implements runtime.BatchConduit: deliveries staged through the
+// NewBatch implements runtime.Conduit: deliveries staged through the
 // returned batch coalesce into multi-message frames — one write and one
 // bitmap ack per frame instead of a synchronous round trip per message — with
 // a window of in-flight frames that Flush settles at the round barrier. The

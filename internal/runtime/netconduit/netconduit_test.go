@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gossip"
 	"repro/internal/runtime"
+	"repro/internal/topo"
 )
 
 // networks are the two socket flavors every robustness property must hold on.
@@ -157,16 +159,17 @@ func TestGarbageFramesRejected(t *testing.T) {
 			c := listen(t, network)
 			defer c.Close()
 			cases := [][]byte{
-				{0xFF, 0xFF, 0xFF, 0xFF},                             // length prefix beyond MaxFrame
-				{0, 0, 0, 3, 9, 9, 9},                                // unknown frame type 9
-				{0, 0, 0, 9, 1, 1, 1, 2, 0, 0, 1, 0, 0},              // retired type 1: a v1 message frame (vote, nil payload)
-				{0, 0, 0, 3, 2, 1, 1},                                // retired type 2: a v1 ack
-				{0, 0, 0, 10, frameBatch, batchVersion},              // body truncated by half-close
-				{0, 0, 0, 2, frameBatch, 99},                         // batch frame, batch version 99
-				{0, 0, 0, 10, frameBatch, 2, 1, 1, 2, 0, 0, 1, 0, 0}, // a v2 batch frame (vote, nil payload)
-				{0, 0, 0, 4, frameBatch, batchVersion, 1, 0},         // batch of zero messages
-				{0, 0, 0, 5, frameBatch, batchVersion, 1, 9, 0},      // count 9 overruns the frame
-				{0, 0, 0, 6, frameBatch, batchVersion, 1, 1, 3, 0},   // message body truncated mid-header
+				{0xFF, 0xFF, 0xFF, 0xFF},                                        // length prefix beyond MaxFrame
+				{0, 0, 0, 3, 9, 9, 9},                                           // unknown frame type 9
+				{0, 0, 0, 9, 1, 1, 1, 2, 0, 0, 1, 0, 0},                         // retired type 1: a v1 message frame (vote, nil payload)
+				{0, 0, 0, 3, 2, 1, 1},                                           // retired type 2: a v1 ack
+				{0, 0, 0, 10, frameBatch, batchVersion},                         // body truncated by half-close
+				{0, 0, 0, 2, frameBatch, 99},                                    // batch frame, batch version 99
+				{0, 0, 0, 10, frameBatch, 2, 1, 1, 2, 0, 0, 1, 0, 0},            // a v2 batch frame (vote, nil payload)
+				{0, 0, 0, 4, frameBatch, batchVersion, 1, 0},                    // batch of zero messages
+				{0, 0, 0, 5, frameBatch, batchVersion, 1, 9, 0},                 // count 9 overruns the frame
+				{0, 0, 0, 6, frameBatch, batchVersion, 1, 1, 3, 0},              // message body truncated mid-header
+				{0, 0, 0, 10, frameBatch, batchVersion, 1, 1, 1, 4, 0, 0, 0, 0}, // flags bit 4 is no known field
 			}
 			for i, frame := range cases {
 				conn, err := net.Dial(c.network, c.addr)
@@ -261,6 +264,45 @@ func TestBatchDeliver(t *testing.T) {
 				}
 				c.Close()
 				rt.Shutdown()
+			}
+		})
+	}
+}
+
+// pushClock reports, on handled, when each push reached it; nothing else is
+// sent to it.
+type pushClock struct {
+	gossip.Agent
+	handled chan time.Time
+}
+
+func (a *pushClock) HandlePush(int, int, gossip.Payload) { a.handled <- time.Now() }
+
+// TestDelayCrossesSocket pins that a message's link delay survives the wire:
+// a push with a 30 ms Delay, batched over the socket, is acked as accepted
+// and then handled by the receiving host no earlier than SentAt + Delay.
+func TestDelayCrossesSocket(t *testing.T) {
+	const delay = 30 * time.Millisecond
+	for _, network := range networks {
+		t.Run(network, func(t *testing.T) {
+			clock := &pushClock{handled: make(chan time.Time, 1)}
+			rt := runtime.New(runtime.Config{Topology: topo.NewComplete(2)}, []gossip.Agent{clock, clock})
+			defer rt.Shutdown()
+			c := listen(t, network)
+			defer c.Close()
+			b := c.NewBatch()
+			m := runtime.Message{Kind: runtime.MsgPush, From: 1, SentAt: time.Now(), Delay: delay}
+			b.Add(rt.Node(0), m)
+			if oks := b.Flush(); !oks[0] {
+				t.Fatal("delayed push reported lost")
+			}
+			select {
+			case at := <-clock.handled:
+				if due := m.SentAt.Add(delay); at.Before(due) {
+					t.Fatalf("push handled %v before its due time — the delay did not cross", due.Sub(at))
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("delayed push never handled")
 			}
 		})
 	}

@@ -21,7 +21,7 @@ type Node struct {
 	// package doc).
 	action  *gossip.Action   // the Act result; points into Runtime.actions
 	replies []gossip.Payload // HandlePull results, in mailbox order
-	lats    []time.Duration  // latencies of timed messages, each to the start of its host batch
+	lats    []time.Duration  // latencies of timed messages, each to its host's clock reading (see handle)
 }
 
 // hostMsg is one queue entry: a message and the node of the range it is for.
@@ -39,7 +39,7 @@ type hostMsg struct {
 // uncontended lock per chunk on the way in, none on the way out, and one
 // clock read per swapped batch. A node has exactly one host, so its messages
 // are handled in the order they were accepted — the per-destination FIFO the
-// coordinator and Batch rely on.
+// coordinator and Batch rely on — delayed or not.
 type host struct {
 	bar   *barrier
 	idx   int // the host's place in its runtime's range order; a handOver's stage key
@@ -50,6 +50,7 @@ type host struct {
 	parked  bool          // the host waits on wake; the next putAll owes it a token
 	wake    chan struct{} // 1 slot
 	room    chan struct{} // closed and replaced by the swap that empties a full queue
+	timer   *time.Timer   // run's wait for a due time; made by the first wait
 }
 
 func newHost(bar *barrier, limit int) *host {
@@ -99,6 +100,8 @@ func (h *host) putAll(entries []hostMsg) int {
 // run is the host goroutine: swap the queue out, read the clock, handle the
 // batch against that reading, count it, until shutdown. The flag is checked
 // before every message, so a stopped host abandons the rest of its queue.
+// Entries not yet due (Message.Delay) are waited for in queue order, so a
+// wave of delays costs about its largest.
 func (h *host) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	batch := make([]hostMsg, 0, h.limit)
@@ -125,10 +128,36 @@ func (h *host) run(wg *sync.WaitGroup) {
 			if h.bar.stopped.Load() {
 				return
 			}
-			batch[i].n.handle(&batch[i].m, now)
+			m := &batch[i].m
+			if m.Delay > 0 && !h.waitDue(m, &now) {
+				return
+			}
+			batch[i].n.handle(m, now)
 		}
 		h.bar.complete(len(batch))
 	}
+}
+
+// waitDue waits on the host's one timer until m is due, if it is not at
+// *now, and then reads the clock into *now. It reports false if the runtime
+// stopped first.
+func (h *host) waitDue(m *Message, now *time.Time) bool {
+	due := m.SentAt.Add(m.Delay)
+	if !due.After(*now) {
+		return true
+	}
+	if h.timer == nil {
+		h.timer = time.NewTimer(time.Until(due))
+	} else {
+		h.timer.Reset(time.Until(due)) // fired and drained by the last wait
+	}
+	select {
+	case <-h.timer.C:
+	case <-h.bar.stop:
+		return false
+	}
+	*now = time.Now()
+	return true
 }
 
 // barrier is the one rendezvous between the hosts and the coordinator: a
@@ -207,7 +236,8 @@ func (n *Node) ID() int { return n.id }
 func (n *Node) Send(m Message) bool { return n.host.putAll([]hostMsg{{n, m}}) == 1 }
 
 // handle processes one message through the agent, on the node's host; now is
-// the host's clock reading for the batch the message arrived in.
+// the host's latest clock reading: at the start of the message's batch, or
+// after the host's last wait for a due time, whichever came later.
 func (n *Node) handle(m *Message, now time.Time) {
 	if !m.SentAt.IsZero() {
 		n.lats = append(n.lats, now.Sub(m.SentAt))

@@ -42,19 +42,21 @@
 // The protocol's correctness barrier is per round, so the coordinator does
 // not need a synchronous transport round trip per message — only per-
 // destination delivery order and coordinator-ordered observables. Every phase
-// of a round is dispatched as one pipelined wave through the conduit's Batch
-// (a conduit without the batch seam gets an adapter whose Add is Deliver):
-// fates are decided per crossing before dispatch — a keyed loss decision does
-// not care when it is asked — the whole delivery set is handed to the
-// transport without waiting per message, and the executor settles every
-// operation at the barrier in the simulator's order. The channel transport's
-// batch, like the round fan-out, stages each wave per host and hands a host a
-// full chunk at once — one lock per chunk — so the host starts handling while
-// the coordinator is still dispatching; Flush hands over the remainders. The
-// transcript stays byte-identical while the transport coalesces frames and
-// overlaps acknowledgements. A pull phase is two waves: queries, then — once every
-// target's HandlePull result is in — the replies that survive their own loss
-// decision.
+// of a round is dispatched as one pipelined wave through the conduit's Batch,
+// the one delivery shape every conduit has: fates are decided per crossing
+// before dispatch — a keyed loss decision does not care when it is asked —
+// the whole delivery set is handed to the transport without waiting per
+// message, and the executor settles every operation at the barrier in the
+// simulator's order. A link delay (FaultConduit's jitter) rides the wave as
+// the message's Delay; the receiving host holds the message until its due
+// time, so a wave's delays overlap and cost about the largest of them. The
+// channel transport's batch, like the round fan-out, stages each wave per host
+// and hands a host a full chunk at once — one lock per chunk — so the host
+// starts handling while the coordinator is still dispatching; Flush hands over
+// the remainders. The transcript stays byte-identical while the transport
+// coalesces frames and overlaps acknowledgements. A pull phase is two waves:
+// queries, then — once every target's HandlePull result is in — the replies
+// that survive their own loss decision.
 //
 // # Round barrier
 //
@@ -62,21 +64,21 @@
 // delivery waves — is one barrier, and reaching it takes no lock that two
 // hosts share. A handler leaves what it produced in its node's slots (its
 // entry of the action table, a FIFO of HandlePull results, a scratch of
-// delivery latencies, each measured against the one clock reading its host
-// takes per swapped batch) and the host adds each batch it has handled to one
+// delivery latencies) and the host adds each batch it has handled to one
 // atomic count of handled messages; the coordinator publishes the count it is
 // owed and parks on a one-slot wake channel that only the add crossing that
 // count signals (see barrier for why no wake-up is lost). Ownership: a node's
 // slots, and its agent, are written only by its host, only while handling a
 // message; the coordinator reads or resets them only between a barrier that
-// counted every message it sent that node and its next send there. Shutdown is a flag on the same barrier: a wait that sees it fails
-// without reading any slot — hosts may still be running — and Run returns
-// ErrShutdown.
+// counted every message it sent that node and its next send there. Shutdown
+// is a flag on the same barrier: a wait that sees it fails without reading any
+// slot — hosts may still be running — and Run returns ErrShutdown.
 //
 // On top of that parity the runtime measures what the simulator cannot:
-// wall-clock convergence and per-message delivery latency — from the send
-// stamp to the start of the host batch that handles the message — reported as
-// a metrics.Live with streaming quantiles (stats.QuantileSketch).
+// wall-clock convergence and per-message delivery latency — from the wave's
+// send stamp to the host's clock reading as it handles the message (see
+// Node.handle): at least the message's Delay, more behind an entry due later
+// — reported as a metrics.Live with streaming quantiles (stats.QuantileSketch).
 package runtime
 
 import (
@@ -186,7 +188,7 @@ func New(cfg Config, agents []gossip.Agent) *Runtime {
 	n := len(agents)
 	rt := &Runtime{
 		conduit: conduit,
-		batch:   newBatch(conduit),
+		batch:   conduit.NewBatch(),
 		nodes:   make([]Node, n),
 		bar:     newBarrier(),
 		actions: make([]gossip.Action, n),

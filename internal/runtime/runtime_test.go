@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gossip"
+	"repro/internal/topo"
 )
 
 func goroutines() int { return stdruntime.NumGoroutine() }
@@ -221,32 +222,112 @@ func TestFaultConduitDrops(t *testing.T) {
 	}
 }
 
-// TestFaultConduitJitter pins that jitter shows up in the measured latency
-// distribution: with a 200µs jitter ceiling the median delivery must be
-// slower than the in-process channel handoff ever is. A jittered wave must
-// also reach the mailbox message by message, not at Flush: a message staged
-// behind later messages' delays would have them counted as its latency.
+// stampAgent records when its one push was handled; nothing else is sent to
+// it.
+type stampAgent struct {
+	gossip.Agent
+	at time.Time
+}
+
+func (a *stampAgent) HandlePush(int, int, gossip.Payload) { a.at = time.Now() }
+
+func stampAgents(n int) []gossip.Agent {
+	agents := make([]gossip.Agent, n)
+	for i := range agents {
+		agents[i] = &stampAgent{}
+	}
+	return agents
+}
+
+// TestFaultConduitJitter pins jitter as a due time. One wave of k pushes goes
+// through a jittered FaultConduit's batch: no push may be handled before its
+// due time — the wave's send stamp plus the delay the conduit gives it — and
+// the wave must finish in about one delay, not in the sum of k delays that a
+// transport holding each message back in turn takes. A full run then shows
+// the delays in the measured latency distribution.
 func TestFaultConduitJitter(t *testing.T) {
-	h := newHost(newBarrier(), 4) // not started: nothing drains
-	b := NewFaultConduit(nil, 13, 0, time.Microsecond).NewBatch()
-	b.Add(&Node{id: 0, host: h}, Message{Kind: MsgPush, From: 1, SentAt: time.Now()})
-	if got := queued(h); got != 1 {
-		t.Fatalf("a jittered message waits in the batch (%d in the mailbox before Flush)", got)
+	const k, jitter = 64, 50 * time.Millisecond
+	agents := stampAgents(k)
+	rt := New(Config{Topology: topo.NewComplete(k)}, agents)
+	defer rt.Shutdown()
+	c := NewFaultConduit(nil, 13, 0, jitter)
+	b := c.NewBatch()
+	sent := time.Now()
+	due := make([]time.Time, k)
+	var total time.Duration
+	for i := range agents {
+		m := Message{Kind: MsgPush, From: (i + 1) % k, SentAt: sent}
+		probe := m
+		c.admit(rt.Node(i), &probe) // a keyed decision: the delay the batch gives m
+		due[i], total = sent.Add(probe.Delay), total+probe.Delay
+		b.Add(rt.Node(i), m)
+	}
+	if !rt.bar.await(accepted(b.Flush())) {
+		t.Fatal("runtime stopped under the test")
+	}
+	wave := time.Since(sent)
+	for i, a := range agents {
+		if at := a.(*stampAgent).at; at.Before(due[i]) {
+			t.Fatalf("push %d handled %v before its due time", i, due[i].Sub(at))
+		}
+	}
+	if total < k*jitter/4 {
+		t.Fatalf("%d delays sum to %v — too little to tell one delay from all of them", k, total)
+	}
+	if wave > 4*jitter {
+		t.Fatalf("a wave of %d delays under %v (summing to %v) took %v — delays served one after another", k, jitter, total, wave)
 	}
 
 	setup := testConfig(t, 16, 13)
-	rt := runtimeFor(setup, Options{Conduit: NewFaultConduit(nil, 13, 0, 200*time.Microsecond)})
-	if _, err := rt.Run(context.Background(), setup.MaxRounds); err != nil {
+	run := runtimeFor(setup, Options{Conduit: NewFaultConduit(nil, 13, 0, 200*time.Microsecond)})
+	if _, err := run.Run(context.Background(), setup.MaxRounds); err != nil {
 		t.Fatal(err)
 	}
-	rt.Shutdown()
-	live := rt.Live(time.Millisecond)
+	run.Shutdown()
+	live := run.Live(time.Millisecond)
 	if live.Delivered == 0 {
 		t.Fatal("no deliveries")
 	}
 	if live.LatencyP50 < 10*time.Microsecond {
 		t.Fatalf("median latency %v under a 200µs jitter — jitter not applied", live.LatencyP50)
 	}
+}
+
+// TestShutdownDuringDelay pins that a host waiting for a due time still
+// answers Shutdown: with every host holding pushes due 10 s out, Shutdown
+// returns in well under a second, no push is handled, and no goroutine is
+// left behind.
+func TestShutdownDuringDelay(t *testing.T) {
+	const n = 16
+	before := goroutines()
+	agents := stampAgents(n)
+	rt := New(Config{Topology: topo.NewComplete(n)}, agents)
+	sent := time.Now()
+	for i := 0; i < n; i++ {
+		if !rt.Node(i).Send(Message{Kind: MsgPush, From: (i + 1) % n, SentAt: sent, Delay: 10 * time.Second}) {
+			t.Fatalf("node %d refused its push", i)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for w, h := range hostsOf(rt) {
+		for queued(h) > 0 { // the host has not taken its queue yet
+			if time.Now().After(deadline) {
+				t.Fatalf("host %d never took its queue", w)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	start := time.Now()
+	rt.Shutdown()
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Fatalf("Shutdown took %v with every host waiting on a due time", took)
+	}
+	for i, a := range agents {
+		if at := a.(*stampAgent).at; !at.IsZero() {
+			t.Fatalf("push %d handled %v before its due time", i, sent.Add(10*time.Second).Sub(at))
+		}
+	}
+	waitForGoroutines(t, before)
 }
 
 // TestFaultConduitConcurrentDeliver exercises the Conduit concurrency
